@@ -18,10 +18,12 @@
  * The workload is the Fig. 10 figure-scale mix — Bimodal(0.5%,
  * 0.5us, 50us) on 16 cores at 10 MRPS (~47% load) — stable for
  * every design yet deep enough that queues, preemption (Shinjuku)
- * and inter-group migration (AC) all stay exercised. Each iteration
- * also folds the run fingerprint into the checksum counter so a
- * determinism break shows up as a changed user counter, not just in
- * the golden suite.
+ * and inter-group migration (AC) all stay exercised. Every run is
+ * also a correctness run: each iteration must reproduce the first
+ * iteration's fingerprint (a mismatch aborts the benchmark with an
+ * error), and the run's fingerprint is reported as the `fingerprint`
+ * counter, independent of the iteration count, so
+ * scripts/bench_compare.py fails when it differs from the baseline's.
  */
 
 #include <benchmark/benchmark.h>
@@ -65,16 +67,21 @@ runMacroCfg(benchmark::State &state, const DesignConfig &cfg)
 {
     const WorkloadSpec spec = macroSpec();
     std::uint64_t completed = 0;
-    Fnv1a digest;
+    std::uint64_t fingerprint = 0;
     for (auto _ : state) {
         const RunResult res = runExperiment(cfg, spec);
         completed += res.completed;
-        digest.mix(res.fingerprint);
+        if (fingerprint != 0 && fingerprint != res.fingerprint) {
+            state.SkipWithError("fingerprint changed across iterations");
+            return;
+        }
+        fingerprint = res.fingerprint;
         benchmark::DoNotOptimize(res.completed);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(completed));
-    state.counters["fingerprint_fold"] = static_cast<double>(
-        digest.digest() & 0xffffffffu);
+    // The low 32 bits: exact in the double a counter holds.
+    state.counters["fingerprint"] =
+        static_cast<double>(fingerprint & 0xffffffffu);
 }
 
 void

@@ -33,9 +33,11 @@ namespace {
 
 constexpr std::uint64_t kRequests = 60000;
 
-/** Fig. 10's service mix, scaled to a 4 x 64-core rack: enough load
- *  (~47% per server) that every region's event queue stays deep and
- *  the windows have real work to parallelize. */
+/** Fig. 10's service mix on a 4 x 64-core rack. 40 MRPS is 10 MRPS
+ *  per server against ~75 MRPS of capacity (56 workers at a 747.5 ns
+ *  mean), so about 13% load per server: light, but every region's
+ *  runtime ticks and UPDATEs keep its event queue busy, so the
+ *  windows have work to parallelize. */
 WorkloadSpec
 shardSpec()
 {

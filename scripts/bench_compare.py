@@ -18,8 +18,19 @@ runs, compared in one invocation with one merged delta table:
 
 Benchmarks are matched by name within their pair. The primary metric
 is items_per_second (higher is better); benchmarks that do not report
-it fall back to real_time (lower is better). Entries present in only
-one report of a pair are listed but never fail the comparison.
+it fall back to real_time (lower is better). A report recorded with
+--benchmark_repetitions holds one entry per repetition; the median of
+those is compared (or the "median" aggregate, when only aggregates
+were reported). Entries present in only one report of a pair are
+listed but never fail the comparison.
+
+Every perf run is also a correctness run. A benchmark that reports a
+`fingerprint` counter (the low 32 bits of its simulation run's
+fingerprint) must report the same value in both reports of its pair
+and in every repetition, and no benchmark may have reported an error
+(the macro benches abort with one when the fingerprint changes across
+iterations). A mismatch or error is always fatal: timing depends on
+the machine, the fingerprint does not.
 
 Exit codes:
     0  compared cleanly (regressions are warnings by default -- the
@@ -30,17 +41,20 @@ Exit codes:
     2  malformed input (missing file, bad JSON, no benchmarks, an odd
        number of reports) -- always fatal, so a crashed or truncated
        bench run cannot pass silently
+    3  a fingerprint differs for the same benchmark name, or a
+       benchmark reported an error -- always fatal
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 
 
 def load_report(path):
-    """Return {name: (metric_value, higher_is_better)} for one report."""
+    """Return {name: Entry} for one report."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -54,19 +68,55 @@ def load_report(path):
     if not isinstance(benches, list) or not benches:
         print(f"error: {path} contains no benchmarks", file=sys.stderr)
         raise SystemExit(2)
-    out = {}
+    runs, medians = {}, {}
     for bench in benches:
-        name = bench.get("name")
-        if not name or bench.get("run_type") == "aggregate":
+        name = bench.get("run_name") or bench.get("name")
+        if not name:
             continue
-        if "items_per_second" in bench:
-            out[name] = (float(bench["items_per_second"]), True)
-        elif "real_time" in bench:
-            out[name] = (float(bench["real_time"]), False)
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[name] = bench
+            continue
+        runs.setdefault(name, []).append(bench)
+    for name, bench in medians.items():
+        runs.setdefault(name, [bench])
+    out = {}
+    for name, group in runs.items():
+        entry = make_entry(group)
+        if entry is not None:
+            out[name] = entry
     if not out:
         print(f"error: {path} has no comparable entries", file=sys.stderr)
         raise SystemExit(2)
     return out
+
+
+class Entry:
+    """One benchmark of one report, folded over its repetitions."""
+
+    def __init__(self, value, higher, fingerprints, error):
+        self.value = value            # median metric over repetitions
+        self.higher = higher          # True: higher is better
+        self.fingerprints = fingerprints  # set of ints, empty if none
+        self.error = error            # error message, or None
+
+
+def make_entry(group):
+    """Fold the repetitions of one benchmark into an Entry."""
+    error = next((b.get("error_message") or "error" for b in group
+                  if b.get("error_occurred")), None)
+    fingerprints = {int(b["fingerprint"]) for b in group
+                    if "fingerprint" in b}
+    if error is not None:
+        return Entry(None, True, fingerprints, error)
+    if all("items_per_second" in b for b in group):
+        key, higher = "items_per_second", True
+    elif all("real_time" in b for b in group):
+        key, higher = "real_time", False
+    else:
+        return None
+    value = statistics.median(float(b[key]) for b in group)
+    return Entry(value, higher, fingerprints, error)
 
 
 def fmt(value):
@@ -95,6 +145,33 @@ def merge_pairs(paths):
     return base, cur
 
 
+def check_fingerprints(base, cur):
+    """Return one line per correctness failure across the pairs."""
+    problems = []
+    for name in sorted(set(base) | set(cur)):
+        for side, entries in (("baseline", base), ("current", cur)):
+            entry = entries.get(name)
+            if entry is None:
+                continue
+            if entry.error is not None:
+                problems.append(f"{name}: {side} reported an error: "
+                                f"{entry.error}")
+            if len(entry.fingerprints) > 1:
+                problems.append(f"{name}: {side} fingerprint differs "
+                                "across repetitions")
+        if name in base and name in cur:
+            bfp, cfp = base[name].fingerprints, cur[name].fingerprints
+            if bfp and cfp and bfp != cfp:
+                problems.append(
+                    f"{name}: fingerprint {fmt_fp(cfp)} != baseline "
+                    f"{fmt_fp(bfp)}")
+    return problems
+
+
+def fmt_fp(fps):
+    return "/".join(f"{fp:#010x}" for fp in sorted(fps))
+
+
 def compare(base, cur, threshold):
     """Print the delta table; return the list of (name, pct) regressions."""
     shared = [n for n in base if n in cur]
@@ -106,8 +183,11 @@ def compare(base, cur, threshold):
           f"  {'delta':>8}  verdict")
     regressions = []
     for name in shared:
-        bval, b_higher = base[name]
-        cval, c_higher = cur[name]
+        bval, b_higher = base[name].value, base[name].higher
+        cval, c_higher = cur[name].value, cur[name].higher
+        if bval is None or cval is None:
+            print(f"{name:<{width}}  no timing (errored run); skipping")
+            continue
         if b_higher != c_higher:
             print(f"{name:<{width}}  metric kind changed; skipping")
             continue
@@ -153,6 +233,7 @@ def run(argv):
 
     base, cur = merge_pairs(args.reports)
     regressions = compare(base, cur, args.threshold)
+    problems = check_fingerprints(base, cur)
 
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond "
@@ -163,6 +244,11 @@ def run(argv):
             return 1
         print("(warning only: pass --fail-on-regression to gate)",
               file=sys.stderr)
+    if problems:
+        print(f"\n{len(problems)} correctness failure(s):", file=sys.stderr)
+        for line in problems:
+            print(f"  {line}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -214,6 +300,39 @@ def self_test():
         macro_cur = _write(tmp, "mc.json", _report([
             {"name": "BM_MacroAcInt", "items_per_second": 10.5},
             {"name": "BM_Time", "real_time": 190.0}]))
+        fp_base = _write(tmp, "fb.json", _report([
+            {"name": "BM_MacroRss", "items_per_second": 10.0,
+             "fingerprint": 1234.0},
+            {"name": "BM_MacroAcInt", "items_per_second": 10.0,
+             "fingerprint": 99.0}]))
+        fp_same = _write(tmp, "fs.json", _report([
+            {"name": "BM_MacroRss", "items_per_second": 5.0,
+             "fingerprint": 1234.0},
+            {"name": "BM_MacroAcInt", "items_per_second": 10.0,
+             "fingerprint": 99.0}]))
+        fp_diff = _write(tmp, "fd.json", _report([
+            {"name": "BM_MacroRss", "items_per_second": 10.0,
+             "fingerprint": 1234.0},
+            {"name": "BM_MacroAcInt", "items_per_second": 10.0,
+             "fingerprint": 98.0}]))
+        fp_none = _write(tmp, "fn.json", _report([
+            {"name": "BM_MacroRss", "items_per_second": 10.0,
+             "fingerprint_fold": 7.0}]))
+        reps = [{"name": "BM_MacroRss", "run_name": "BM_MacroRss",
+                 "run_type": "iteration", "items_per_second": v,
+                 "fingerprint": 1234.0} for v in (9.0, 10.0, 30.0)]
+        reps.append({"name": "BM_MacroRss_mean",
+                     "run_name": "BM_MacroRss", "run_type": "aggregate",
+                     "aggregate_name": "mean",
+                     "items_per_second": 16.3})
+        fp_reps = _write(tmp, "fr.json", _report(reps))
+        reps_split = [dict(r) for r in reps[:3]]
+        reps_split[1]["fingerprint"] = 4321.0
+        fp_split = _write(tmp, "fx.json", _report(reps_split))
+        errored = _write(tmp, "fe.json", _report([
+            {"name": "BM_MacroRss", "error_occurred": True,
+             "error_message": "fingerprint changed across iterations",
+             "real_time": 0.0}]))
         bad_json = _write(tmp, "bad.json", "{not json")
         empty = _write(tmp, "empty.json", {"benchmarks": []})
 
@@ -242,6 +361,23 @@ def self_test():
               "report with no benchmarks exits 2")
         check(_exit_code([kern_base, kern_fast, macro_base]) == 2,
               "odd number of reports exits 2")
+
+        check(_exit_code([fp_base, fp_same]) == 0,
+              "equal fingerprints with a timing regression exit 0")
+        check(_exit_code([fp_base, fp_diff]) == 3,
+              "fingerprint mismatch for the same name exits 3")
+        check(_exit_code([kern_base, kern_fast, fp_base, fp_diff]) == 3,
+              "fingerprint mismatch in the second pair exits 3")
+        check(_exit_code([fp_none, fp_base]) == 0,
+              "a baseline without a fingerprint is not compared")
+        check(_exit_code([fp_base, fp_reps]) == 0,
+              "repetitions with one fingerprint compare cleanly")
+        check(_exit_code([fp_base, fp_split]) == 3,
+              "fingerprint differing across repetitions exits 3")
+        check(_exit_code([fp_base, errored]) == 3,
+              "a benchmark that reported an error exits 3")
+        check(load_report(fp_reps)["BM_MacroRss"].value == 10.0,
+              "repetitions fold to their median, aggregates ignored")
 
         base, cur = merge_pairs([kern_base, kern_fast,
                                  kern_base, kern_slow])

@@ -226,7 +226,9 @@ class GroupScheduler : public sched::Scheduler
         std::uint64_t idleMask = 0;
         /** Worker-local queues (depth-bounded). */
         std::vector<RingDeque<net::Rpc *>> local;
-        /** Synchronized queue-length view (Algorithm 1's q). */
+        /** Queue-length view (Algorithm 1's q): the own entry is
+         *  refreshed locally, peer entries only by HwMessaging::
+         *  syncView() from the landed UPDATEs. */
         std::vector<std::size_t> qView;
         /** Next time the manager core is free (Rss variant). */
         Tick managerFree = 0;
@@ -290,7 +292,6 @@ class GroupScheduler : public sched::Scheduler
 
     /** Hardware messaging callbacks. */
     void onMigrateIn(unsigned g, const std::vector<net::Rpc *> &reqs);
-    void onUpdate(unsigned g, unsigned src, std::size_t qlen);
     void onReturn(unsigned g, unsigned dst,
                   const std::vector<net::Rpc *> &reqs);
     void onMigrateAcked(unsigned g, unsigned dst);

@@ -513,36 +513,70 @@ HwMessaging::broadcastUpdate(unsigned src, std::size_t qlen)
     for (unsigned dst = 0; dst < numManagers(); ++dst) {
         if (dst == src || deadMgr_[dst] != 0)
             continue;
-        UpdateChannel &chan = updates_[src * numManagers() + dst];
-        if (chan.inFlight) {
-            // Coalesce: the newest value supersedes any pending one.
-            chan.hasPending = true;
-            chan.pending = qlen;
+        UpdateChannel &ch = channel(src, dst);
+        settle(ch);
+        if (!ch.onWire) {
+            launchUpdate(src, dst, qlen);
             continue;
         }
-        launchUpdate(src, dst, qlen);
+        // Coalesce: the newest value supersedes any pending one. The
+        // first coalescing broadcast turns the landing into a real
+        // event at the key the UPDATE reserved, so the relaunch
+        // happens at the dispatch position where the wire frees.
+        if (!ch.hasPending) {
+            ch.hasPending = true;
+            sim_.atReserved(ch.arrival, ch.seq,
+                            [this, src, dst] { landAndRelaunch(src, dst); });
+        }
+        ch.pending = qlen;
+    }
+}
+
+ALTOC_HOT void
+HwMessaging::settle(UpdateChannel &ch)
+{
+    if (ch.onWire && sim_.passed(ch.arrival, ch.seq)) {
+        // A coalesced landing is an event, and it already ran.
+        altoc_assert(!ch.hasPending, "landed UPDATE still holds a relaunch");
+        ch.reg = ch.wire;
+        ch.onWire = false;
     }
 }
 
 void
 HwMessaging::launchUpdate(unsigned src, unsigned dst, std::size_t qlen)
 {
-    UpdateChannel &chan = updates_[src * numManagers() + dst];
-    chan.inFlight = true;
     ++stats_.updatesSent;
     const Tick flight = cfg_.hardware
                             ? transit(src, dst, hw::kHeaderBytes)
                             : hw::kSwUpdateNs;
-    sim_.after(hw::kControllerNs + flight, [this, src, dst, qlen] {
-        if (update_ && deadMgr_[dst] == 0)
-            update_(dst, src, qlen);
-        UpdateChannel &ch = updates_[src * numManagers() + dst];
-        ch.inFlight = false;
-        if (ch.hasPending) {
-            ch.hasPending = false;
-            launchUpdate(src, dst, ch.pending);
-        }
-    });
+    UpdateChannel &ch = channel(src, dst);
+    ch.wire = qlen;
+    ch.arrival = sim_.now() + hw::kControllerNs + flight;
+    ch.seq = sim_.reserveSeq();
+    ch.onWire = true;
+}
+
+void
+HwMessaging::landAndRelaunch(unsigned src, unsigned dst)
+{
+    UpdateChannel &ch = channel(src, dst);
+    ch.reg = ch.wire;
+    ch.onWire = false;
+    ch.hasPending = false;
+    launchUpdate(src, dst, ch.pending);
+}
+
+ALTOC_HOT void
+HwMessaging::syncView(unsigned dst, std::vector<std::size_t> &view)
+{
+    for (unsigned src = 0; src < numManagers(); ++src) {
+        if (src == dst)
+            continue;
+        UpdateChannel &ch = channel(src, dst);
+        settle(ch);
+        view[src] = ch.reg;
+    }
 }
 
 } // namespace altoc::core

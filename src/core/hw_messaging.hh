@@ -95,10 +95,6 @@ class HwMessaging
     using MigrateInFn = InlineFunction<void(
         unsigned mgr, const std::vector<net::Rpc *> &)>;
 
-    /** Manager @p mgr learned manager @p src has queue length @p q. */
-    using UpdateFn =
-        InlineFunction<void(unsigned mgr, unsigned src, std::size_t q)>;
-
     /** A MIGRATE from @p mgr to @p dst was NACKed and returned its
      *  descriptors to the source. */
     using ReturnFn = InlineFunction<void(
@@ -129,7 +125,6 @@ class HwMessaging
                 std::vector<unsigned> manager_tiles, const Config &cfg);
 
     void setMigrateIn(MigrateInFn fn) { migrateIn_ = std::move(fn); }
-    void setUpdate(UpdateFn fn) { update_ = std::move(fn); }
     void setReturn(ReturnFn fn) { returnFn_ = std::move(fn); }
     void setTimeout(TimeoutFn fn) { timeoutFn_ = std::move(fn); }
     void setAck(AckFn fn) { ackFn_ = std::move(fn); }
@@ -175,15 +170,35 @@ class HwMessaging
     /**
      * Broadcast manager @p src's queue length to all others.
      *
-     * UPDATEs carry *status*, not events: a newer value supersedes an
-     * older one. At most one UPDATE per (src, dst) pair is in flight;
-     * while one is airborne, newer broadcasts just overwrite the
-     * pending value, and the freshest value is re-sent when the wire
+     * UPDATEs carry *status*, not events: each one overwrites the
+     * destination's parameter register for @p src, and only the
+     * destination's next syncView() reads it (Sec. V, Table II). A
+     * launched UPDATE therefore schedules nothing. It pays its NoC
+     * transit, stores (arrival, value) in the (src, dst) channel and
+     * reserves the event sequence number its delivery would have
+     * drawn; it has *landed* once (arrival, reserved seq) sorts
+     * before the event being dispatched -- the exact position the
+     * delivery event would have held in the (tick, seq) order.
+     *
+     * At most one UPDATE per channel is on the wire. A broadcast that
+     * finds the previous one still airborne coalesces: the newest
+     * value becomes the channel's pending value, and only then is
+     * the landing materialized as one real event at the reserved
+     * (arrival, seq), which lands the wire value and relaunches the
+     * pending one -- so its NoC send happens exactly where the wire
      * frees. This mirrors hardware status registers and keeps tiny
-     * periods (Fig. 11's 10 ns sweep) from saturating the
-     * scheduling virtual network.
+     * periods (Fig. 11's 10 ns sweep) from saturating the scheduling
+     * virtual network.
      */
     void broadcastUpdate(unsigned src, std::size_t qlen);
+
+    /**
+     * Read manager @p dst's parameter registers into its Algorithm 1
+     * view: view[src] becomes the latest UPDATE from every other
+     * manager that has landed by the current dispatch key (0 before
+     * the first). Call from inside the event that reads the view.
+     */
+    void syncView(unsigned dst, std::vector<std::size_t> &view);
 
     /** Free MR staging capacity at manager @p mgr right now. */
     unsigned freeMrEntries(unsigned mgr) const;
@@ -215,10 +230,18 @@ class HwMessaging
         unsigned mrInbound = 0;
     };
 
-    /** Per-(src,dst) UPDATE coalescing state. */
+    /** Per-(src,dst) UPDATE channel (see broadcastUpdate). */
     struct UpdateChannel
     {
-        bool inFlight = false;
+        /** The destination's parameter register: latest landed value. */
+        std::size_t reg = 0;
+        /** Value on the wire and its landing key. */
+        std::size_t wire = 0;
+        Tick arrival = 0;
+        std::uint64_t seq = 0;
+        bool onWire = false;
+        /** A broadcast coalesced into the airborne UPDATE: its landing
+         *  is a real event that relaunches @c pending. */
         bool hasPending = false;
         std::size_t pending = 0;
     };
@@ -295,8 +318,21 @@ class HwMessaging
     /** Wire size of a MIGRATE with @p n descriptors. */
     static std::uint32_t migrateBytes(std::size_t n);
 
-    /** Launch the freshest value on an idle update channel. */
+    UpdateChannel &
+    channel(unsigned src, unsigned dst)
+    {
+        return updates_[src * numManagers() + dst];
+    }
+
+    /** Move a landed wire value into the channel's register. */
+    void settle(UpdateChannel &ch);
+
+    /** Launch @p qlen on the idle (src, dst) update channel. */
     void launchUpdate(unsigned src, unsigned dst, std::size_t qlen);
+
+    /** Materialized landing of a coalesced channel: land the wire
+     *  value, then relaunch the pending one. */
+    void landAndRelaunch(unsigned src, unsigned dst);
 
     void deliverMigrate(std::uint64_t seq);
     void deliverAck(std::uint64_t seq);
@@ -335,7 +371,6 @@ class HwMessaging
     sim::FaultInjector *faults_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
     MigrateInFn migrateIn_;
-    UpdateFn update_;
     ReturnFn returnFn_;
     TimeoutFn timeoutFn_;
     AckFn ackFn_;

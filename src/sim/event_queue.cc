@@ -36,17 +36,6 @@ EventQueue::allocSlotSlow()
 }
 
 void
-EventQueue::freeSlot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.cb.reset();
-    s.live = false;
-    ++s.gen; // stale handles to this slot die here
-    s.nextFree = freeHead_;
-    freeHead_ = slot;
-}
-
-void
 EventQueue::pushKey(Tick when, std::uint32_t slot, std::uint32_t gen)
 {
     pushKeySeq(when, nextSeq_++, slot, gen);
@@ -160,47 +149,6 @@ EventQueue::peekTime()
 {
     skipDead();
     return heap_.empty() ? kTickInf : heap_.front().when;
-}
-
-ALTOC_HOT Tick
-EventQueue::runOne()
-{
-    skipDead();
-    altoc_assert(!heap_.empty(), "runOne() on an empty event queue");
-    const Key top = heap_.front();
-    popTop();
-    // Move the closure out before freeing: the callback may schedule,
-    // growing slots_ and invalidating any reference into the pool. The
-    // slot is released first so cancel(own-id) inside the callback
-    // correctly reports "already fired". (In-place dispatch from a
-    // chunked stable pool was tried and measured slower: the chunk
-    // indirection on every slot touch costs more than the one
-    // relocate of a warm <=48-byte closure saves.)
-    Callback cb = std::move(slots_[top.slot].cb);
-    freeSlot(top.slot);
-    --liveCount_;
-    ++executed_;
-    cb();
-    return top.when;
-}
-
-ALTOC_HOT Tick
-EventQueue::runOneBefore(Tick until, Tick &now_out)
-{
-    skipDead();
-    if (heap_.empty() || heap_.front().when > until)
-        return kTickInf;
-    const Key top = heap_.front();
-    popTop();
-    // Same move-out discipline as runOne(): the callback may schedule
-    // (growing slots_) and must see cancel(own-id) == false.
-    Callback cb = std::move(slots_[top.slot].cb);
-    freeSlot(top.slot);
-    --liveCount_;
-    ++executed_;
-    now_out = top.when;
-    cb();
-    return top.when;
 }
 
 void

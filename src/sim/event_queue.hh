@@ -80,16 +80,10 @@ class EventQueue
     ALTOC_HOT EventId
     schedule(Tick when, F &&cb)
     {
-        const std::uint32_t slot = allocSlot();
-        Slot &s = slots_[slot];
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
-            s.cb = std::forward<F>(cb);
-        else
-            s.cb.emplace(std::forward<F>(cb));
-        s.live = true;
-        const EventId id = makeId(slot, s.gen);
-        pushKey(when, slot, s.gen);
-        return id;
+        const std::uint32_t slot = fillSlot(std::forward<F>(cb));
+        const std::uint32_t gen = slots_[slot].gen;
+        pushKey(when, slot, gen);
+        return makeId(slot, gen);
     }
 
     /**
@@ -106,16 +100,45 @@ class EventQueue
     {
         altoc_assert(seq >= kCrossSeqBase,
                      "explicit seq outside the cross-region subspace");
-        const std::uint32_t slot = allocSlot();
-        Slot &s = slots_[slot];
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
-            s.cb = std::forward<F>(cb);
-        else
-            s.cb.emplace(std::forward<F>(cb));
-        s.live = true;
-        const EventId id = makeId(slot, s.gen);
-        pushKeySeq(when, seq, slot, s.gen);
-        return id;
+        return scheduleKeyed(when, seq, std::forward<F>(cb));
+    }
+
+    /**
+     * Draw the next insertion sequence without scheduling anything.
+     * The caller owns the position (when, returned seq) in the total
+     * order, exactly as if it had scheduled an event there, and may
+     * later materialize it with scheduleReserved() -- or never, when
+     * the position is only compared against dispatchKeyPassed().
+     * Every other event keeps the (tick, seq) it would have had.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * Schedule @p cb at a position previously claimed with
+     * reserveSeq(). The key must still lie after the event being
+     * dispatched, so the event fires exactly where a schedule() made
+     * at reservation time would have fired.
+     */
+    template <typename F>
+    EventId
+    scheduleReserved(Tick when, std::uint64_t seq, F &&cb)
+    {
+        altoc_assert(seq < nextSeq_ && seq < kCrossSeqBase,
+                     "scheduleReserved() needs a seq from reserveSeq()");
+        altoc_assert(!dispatchKeyPassed(when, seq),
+                     "reserved key already behind the dispatch position");
+        return scheduleKeyed(when, seq, std::forward<F>(cb));
+    }
+
+    /**
+     * True when key (@p when, @p seq) sorts before the key of the
+     * event being dispatched (or, between dispatches, the last one
+     * dispatched): an event scheduled there would already have run.
+     */
+    bool
+    dispatchKeyPassed(Tick when, std::uint64_t seq) const
+    {
+        return when != curWhen_ ? when < curWhen_ : seq < curSeq_;
     }
 
     /**
@@ -160,32 +183,52 @@ class EventQueue
     }
 
     /**
-     * Id of the event a subsequent runOne() will dispatch; only
-     * meaningful right after peekTime() (which compacts cancelled
-     * records off the top). kNoEvent when empty.
-     */
-    EventId
-    peekId() const
-    {
-        return heap_.empty() ? kNoEvent
-                             : makeId(heap_.front().slot, heap_.front().gen);
-    }
-
-    /**
      * Pop and run the earliest event. Returns its time. Must not be
      * called on an empty queue.
      */
-    Tick runOne();
+    Tick
+    runOne()
+    {
+        altoc_assert(!empty(), "runOne() on an empty event queue");
+        return runOneBefore(kTickInf, [](Tick, EventId) {});
+    }
 
     /**
-     * Fused peek + pop for the run loop: if the earliest live event
-     * fires at or before @p until, dispatch it and return its time;
-     * otherwise dispatch nothing and return kTickInf. @p now_out is
-     * set to the event time *before* the callback runs, so a
-     * simulator can expose the correct now() to the callback without
-     * a separate peekTime() heap pass per event.
+     * Fused peek + pop for run loops: if the earliest live event
+     * fires at or before @p until, pop it, record its key as the
+     * dispatch key, call @p on_pop(when, id) and then the event's
+     * callback, and return its time; otherwise dispatch nothing and
+     * return kTickInf. @p on_pop runs before the callback, so a
+     * simulator publishes now() and an auditor learns the event's
+     * identity in the same single heap pass.
      */
-    Tick runOneBefore(Tick until, Tick &now_out);
+    template <typename OnPop>
+    ALTOC_HOT Tick
+    runOneBefore(Tick until, OnPop &&on_pop)
+    {
+        skipDead();
+        if (heap_.empty() || heap_.front().when > until)
+            return kTickInf;
+        const Key top = heap_.front();
+        popTop();
+        // Move the closure out before freeing: the callback may
+        // schedule, growing slots_ and invalidating any reference
+        // into the pool. The slot is released first so cancel(own-id)
+        // inside the callback correctly reports "already fired". (In-
+        // place dispatch from a chunked stable pool was tried and
+        // measured slower: the chunk indirection on every slot touch
+        // costs more than the one relocate of a warm <=48-byte
+        // closure saves.)
+        Callback cb = std::move(slots_[top.slot].cb);
+        freeSlot(top.slot);
+        --liveCount_;
+        ++executed_;
+        curWhen_ = top.when;
+        curSeq_ = top.seq;
+        on_pop(top.when, makeId(top.slot, top.gen));
+        cb();
+        return top.when;
+    }
 
     /** Total events executed so far (for perf accounting). */
     std::uint64_t executed() const { return executed_; }
@@ -260,12 +303,48 @@ class EventQueue
     }
 
     std::uint32_t allocSlotSlow();
-    void freeSlot(std::uint32_t slot);
+
+    /** Park @p cb in a fresh live slot; returns the slot index. */
+    template <typename F>
+    std::uint32_t
+    fillSlot(F &&cb)
+    {
+        const std::uint32_t slot = allocSlot();
+        Slot &s = slots_[slot];
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
+            s.cb = std::forward<F>(cb);
+        else
+            s.cb.emplace(std::forward<F>(cb));
+        s.live = true;
+        return slot;
+    }
+
+    /** schedule() under an explicit sort sequence. */
+    template <typename F>
+    EventId
+    scheduleKeyed(Tick when, std::uint64_t seq, F &&cb)
+    {
+        const std::uint32_t slot = fillSlot(std::forward<F>(cb));
+        const std::uint32_t gen = slots_[slot].gen;
+        pushKeySeq(when, seq, slot, gen);
+        return makeId(slot, gen);
+    }
+
+    void
+    freeSlot(std::uint32_t slot)
+    {
+        Slot &s = slots_[slot];
+        s.cb.reset();
+        s.live = false;
+        ++s.gen; // stale handles to this slot die here
+        s.nextFree = freeHead_;
+        freeHead_ = slot;
+    }
 
     /** Heap insertion half of schedule(): push + siftUp + liveCount. */
     void pushKey(Tick when, std::uint32_t slot, std::uint32_t gen);
 
-    /** Same, under an explicit sequence (scheduleAtSeq). */
+    /** Same, under an explicit sequence (scheduleKeyed). */
     void pushKeySeq(Tick when, std::uint64_t seq, std::uint32_t slot,
                     std::uint32_t gen);
 
@@ -282,6 +361,10 @@ class EventQueue
     std::size_t deadInHeap_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;
+    /** Key of the event being (or last) dispatched; (0, 0) before the
+     *  first dispatch, which sorts before every schedulable key. */
+    Tick curWhen_ = 0;
+    std::uint64_t curSeq_ = 0;
 };
 
 } // namespace altoc::sim

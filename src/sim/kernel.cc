@@ -135,17 +135,7 @@ Kernel::eventsExecuted() const
 ALTOC_HOT void
 Kernel::dispatchOne(unsigned r)
 {
-    Simulator &s = *regions_[r];
-#if ALTOC_AUDIT_ENABLED
-    // Same two-pass shape as the audit branch of Simulator::run: the
-    // auditor needs the event id and time before dispatch.
-    const Tick next = s.events_.peekTime();
-    ALTOC_AUDIT_HOOK(s.auditor_, beginEvent(s.events_.peekId(), next));
-    s.now_ = next;
-    s.events_.runOne();
-#else
-    s.events_.runOneBefore(kTickInf, s.now_);
-#endif
+    regions_[r]->dispatchBefore(kTickInf);
 }
 
 Tick

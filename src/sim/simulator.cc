@@ -19,30 +19,15 @@ Tick
 Simulator::run(Tick until)
 {
     stopRequested_ = false;
-#if ALTOC_AUDIT_ENABLED
-    // Audit builds need the event id and time *before* dispatch, so
-    // they keep the two-pass peek + run loop.
-    while (!events_.empty() && !stopRequested_) {
-        const Tick next = events_.peekTime();
-        if (next > until) {
-            now_ = until;
-            return now_;
-        }
-        ALTOC_AUDIT_HOOK(auditor_, beginEvent(events_.peekId(), next));
-        now_ = next;
-        events_.runOne();
-    }
-#else
     // Fused peek + pop: one heap pass per event. now_ is updated by
     // the queue before the callback runs, so now() stays correct
     // inside event handlers.
     while (!events_.empty() && !stopRequested_) {
-        if (events_.runOneBefore(until, now_) == kTickInf) {
+        if (dispatchBefore(until) == kTickInf) {
             now_ = until;
             return now_;
         }
     }
-#endif
     if (events_.empty() && until != kTickInf && now_ < until)
         now_ = until;
     return now_;
@@ -51,17 +36,7 @@ Simulator::run(Tick until)
 bool
 Simulator::step()
 {
-    if (events_.empty())
-        return false;
-#if ALTOC_AUDIT_ENABLED
-    const Tick next = events_.peekTime();
-    ALTOC_AUDIT_HOOK(auditor_, beginEvent(events_.peekId(), next));
-    now_ = next;
-    events_.runOne();
-#else
-    events_.runOneBefore(kTickInf, now_);
-#endif
-    return true;
+    return dispatchBefore(kTickInf) != kTickInf;
 }
 
 } // namespace altoc::sim

@@ -69,6 +69,27 @@ class Simulator
         return events_.schedule(when, std::forward<F>(cb));
     }
 
+    /** Claim the next event position without scheduling anything
+     *  (see EventQueue::reserveSeq). */
+    std::uint64_t reserveSeq() { return events_.reserveSeq(); }
+
+    /** Schedule @p cb at a position claimed with reserveSeq(). */
+    template <typename F>
+    EventId
+    atReserved(Tick when, std::uint64_t seq, F &&cb)
+    {
+        return events_.scheduleReserved(when, seq, std::forward<F>(cb));
+    }
+
+    /** True when an event at key (@p when, @p seq) would already have
+     *  been dispatched: the key sorts before the current dispatch
+     *  key. Meaningful inside an event callback. */
+    bool
+    passed(Tick when, std::uint64_t seq) const
+    {
+        return events_.dispatchKeyPassed(when, seq);
+    }
+
     /** Cancel a pending event; returns false if it already ran. */
     bool cancel(EventId id) { return events_.cancel(id); }
 
@@ -117,6 +138,21 @@ class Simulator
 
     /** Out-of-line so this header need not see the Kernel type. */
     void kernelRequestStop();
+
+    /** Dispatch the earliest event at or before @p until (the one
+     *  run loop shared by run(), step() and the kernel): publish its
+     *  time as now() and show it to the auditor before the callback
+     *  runs. Returns kTickInf, dispatching nothing, when none is
+     *  due. */
+    Tick
+    dispatchBefore(Tick until)
+    {
+        return events_.runOneBefore(
+            until, [this](Tick when, [[maybe_unused]] EventId id) {
+                ALTOC_AUDIT_HOOK(auditor_, beginEvent(id, when));
+                now_ = when;
+            });
+    }
 
     EventQueue events_;
     Auditor *auditor_ = nullptr;

@@ -3,9 +3,11 @@
  * Event-kernel tests for the slotted queue: generation-counted handle
  * reuse, mass-cancellation compaction, schedule/cancel interleaving
  * against a reference model, tie-break stability, the inline-callback
- * capture-size compile check, the zero-allocation guarantee on the
- * steady-state hot path, and a whole-pipeline bound on allocations
- * per completed request across a warm runExperiment slice.
+ * capture-size compile check, reserved sequence positions, the
+ * zero-allocation guarantee on the steady-state hot path (the queue
+ * and the UPDATE status channels), and a whole-pipeline bound on
+ * allocations per completed request across a warm runExperiment
+ * slice.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +22,10 @@
 #include <vector>
 
 #include "common/inline_fn.hh"
+#include "core/hw_messaging.hh"
+#include "noc/mesh.hh"
 #include "sim/event_queue.hh"
+#include "sim/simulator.hh"
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 
@@ -273,6 +278,58 @@ TEST(EventOrdering, RescheduleInsideCallbackKeepsOrder)
     EXPECT_EQ(times, (std::vector<Tick>{10, 11, 12, 15}));
 }
 
+TEST(EventOrdering, ReservedSeqHoldsItsPositionAmongOrdinarySchedules)
+{
+    // A reservation claims the seq an ordinary schedule() would have
+    // drawn at that point; materializing it later (from inside an
+    // earlier event) slots it exactly there, and dispatchKeyPassed()
+    // agrees with the dispatch order at the same tick.
+    EventQueue q;
+    std::vector<int> order;
+    bool passedInFirst = true;
+    bool passedInThird = false;
+    std::uint64_t reserved = 0;
+    q.schedule(10, [&] {
+        order.push_back(1);
+        passedInFirst = q.dispatchKeyPassed(10, reserved);
+    });
+    reserved = q.reserveSeq();
+    q.schedule(10, [&] {
+        order.push_back(3);
+        passedInThird = q.dispatchKeyPassed(10, reserved);
+    });
+    q.schedule(5, [&] {
+        order.push_back(0);
+        EXPECT_FALSE(q.dispatchKeyPassed(10, reserved));
+        EXPECT_TRUE(q.dispatchKeyPassed(4, reserved));
+        q.scheduleReserved(10, reserved, [&] { order.push_back(2); });
+    });
+    // A reservation never materialized leaves no trace in the queue.
+    const std::uint64_t unused = q.reserveSeq();
+    EXPECT_GT(unused, reserved);
+    q.schedule(10, [&] { order.push_back(4); });
+    EXPECT_EQ(q.size(), 4u);
+    while (!q.empty())
+        q.runOne();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_FALSE(passedInFirst);
+    EXPECT_TRUE(passedInThird);
+    EXPECT_EQ(q.executed(), 5u);
+}
+
+TEST(EventOrdering, DispatchKeyStartsBeforeEveryKey)
+{
+    EventQueue q;
+    const std::uint64_t seq = q.reserveSeq();
+    EXPECT_FALSE(q.dispatchKeyPassed(0, seq));
+    q.schedule(0, [] {});
+    q.runOne();
+    // The first event (0, seq + 1) is now the dispatch key.
+    EXPECT_TRUE(q.dispatchKeyPassed(0, seq));
+    EXPECT_FALSE(q.dispatchKeyPassed(0, seq + 1));
+    EXPECT_FALSE(q.dispatchKeyPassed(1, 0));
+}
+
 // ---------------------------------------------------------------------
 // Inline-callback capture budget (compile-time check)
 // ---------------------------------------------------------------------
@@ -382,6 +439,68 @@ TEST(EventHotPath, SteadyStateScheduleDispatchDoesNotAllocate)
         << "schedule/cancel allocated on the steady-state hot path";
     while (!q.empty())
         q.runOne();
+}
+
+namespace {
+
+/** Four managers that re-read their views and re-broadcast their
+ *  queue length every @c period ns, the runtime's UPDATE pattern. */
+struct UpdateLoop
+{
+    sim::Simulator sim;
+    noc::Mesh mesh{4, 4};
+    core::HwMessaging msg{sim, mesh, {0, 3, 12, 15}, {}};
+    std::vector<std::vector<std::size_t>> views{
+        4, std::vector<std::size_t>(4, 0)};
+    std::size_t qlen = 0;
+    Tick period;
+
+    explicit UpdateLoop(Tick p) : period(p)
+    {
+        for (unsigned m = 0; m < 4; ++m)
+            sim.after(m, [this, m] { tick(m); });
+    }
+
+    void
+    tick(unsigned m)
+    {
+        msg.syncView(m, views[m]);
+        msg.broadcastUpdate(m, ++qlen);
+        sim.after(period, [this, m] { tick(m); });
+    }
+};
+
+} // namespace
+
+TEST(EventHotPath, UpdateBroadcastPathDoesNotAllocate)
+{
+    // At 200 ns every channel is idle when the next broadcast comes
+    // (the lazy path: no event); at 5 ns broadcasts outrun the wire,
+    // so every channel coalesces into a materialized landing event
+    // that relaunches (the event path).
+    for (const Tick period : {Tick{200}, Tick{5}}) {
+        UpdateLoop loop(period);
+        loop.sim.run(50 * kUs); // warm: queue and pool at high water
+        const std::uint64_t sent = loop.msg.stats().updatesSent;
+        const std::uint64_t events = loop.sim.eventsExecuted();
+        const std::size_t before = g_allocs.load();
+        loop.sim.run(150 * kUs);
+        EXPECT_EQ(g_allocs.load(), before)
+            << "UPDATE path allocated at period " << period;
+        const std::uint64_t ticks = 4 * (100 * kUs / period);
+        const std::uint64_t ran = loop.sim.eventsExecuted() - events;
+        EXPECT_GT(loop.msg.stats().updatesSent, sent);
+        if (period == 200) {
+            // Lazy path: the only events are the runtime ticks.
+            EXPECT_EQ(ran, ticks);
+            EXPECT_EQ(loop.msg.stats().updatesSent - sent, 3 * ticks);
+        } else {
+            // Event path: landing events on top of the ticks.
+            EXPECT_GT(ran, ticks);
+        }
+        for (unsigned m = 1; m < 4; ++m)
+            EXPECT_GT(loop.views[m][0], 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * Golden-result regression suite: pins the exact simulation output of
  * one representative run per headline design (d-FCFS/RSS, work
- * stealing, AC on integrated NIC, AC on commodity RSS NIC) against
- * checked-in files in tests/golden/. Any change to event ordering,
+ * stealing, AC on integrated NIC, AC on commodity RSS NIC), plus a
+ * short-period AC_int run, against checked-in files in tests/golden/. Any change to event ordering,
  * RNG consumption, scheduler decisions or stats accounting shows up
  * as a fingerprint mismatch here before it silently shifts a figure.
  *
@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,38 @@ runGoldenScenario(Design design)
     return runExperiment(cfg, spec);
 }
 
+/**
+ * Fig. 11b's 10 ns sweep point, scaled down: 16 managers re-run
+ * Algorithm 1 faster than an UPDATE crosses the mesh, so nearly
+ * every broadcast coalesces into an airborne one. The default-period
+ * scenarios almost never coalesce; this one pins the materialized
+ * landing-and-relaunch path of HwMessaging::broadcastUpdate, with
+ * the messaging counters in the file as well.
+ */
+RunResult
+runShortPeriodScenario()
+{
+    DesignConfig cfg;
+    cfg.design = Design::AcInt;
+    cfg.cores = 256;
+    cfg.groups = 16;
+    cfg.lineRateGbps = 1600.0;
+    cfg.params.period = 10;
+    cfg.params.bulk = 16;
+    cfg.params.concurrency = 8;
+
+    WorkloadSpec spec;
+    spec.service =
+        std::make_shared<workload::BimodalDist>(0.005, 500, 26 * kUs);
+    spec.rateMrps = 350.0;
+    spec.requests = 20000;
+    spec.requestBytes = 64;
+    spec.connections = 256;
+    spec.sloFactor = 10.0;
+    spec.seed = 31;
+    return runExperiment(cfg, spec);
+}
+
 std::string
 goldenPath(const char *file)
 {
@@ -83,7 +116,7 @@ goldenPath(const char *file)
 }
 
 void
-writeGolden(const char *file, const RunResult &res)
+writeGolden(const char *file, const RunResult &res, bool messaging)
 {
     const std::string path = goldenPath(file);
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -96,6 +129,14 @@ writeGolden(const char *file, const RunResult &res)
     std::fprintf(f, "p99 %" PRIu64 "\n",
                  static_cast<std::uint64_t>(res.latency.p99));
     std::fprintf(f, "achieved_mrps %.17g\n", res.achievedMrps);
+    if (messaging) {
+        std::fprintf(f, "updates_sent %" PRIu64 "\n",
+                     res.messaging.updatesSent);
+        std::fprintf(f, "bytes_on_noc %" PRIu64 "\n",
+                     res.messaging.bytesOnNoc);
+        std::fprintf(f, "migrates_sent %" PRIu64 "\n",
+                     res.messaging.migratesSent);
+    }
     std::fclose(f);
 }
 
@@ -114,21 +155,22 @@ readGolden(const char *file)
     return kv;
 }
 
+/** Compare @p res against golden @p file; @p messaging also pins
+ *  the UPDATE/MIGRATE counters. */
 void
-checkGolden(const GoldenCase &c)
+checkGolden(const char *file, const RunResult &res, bool messaging = false)
 {
-    const RunResult res = runGoldenScenario(c.design);
     ASSERT_GT(res.fingerprintEvents, 0u);
 
     if (g_update) {
-        writeGolden(c.file, res);
-        std::printf("updated %s\n", goldenPath(c.file).c_str());
+        writeGolden(file, res, messaging);
+        std::printf("updated %s\n", goldenPath(file).c_str());
         return;
     }
 
-    const auto kv = readGolden(c.file);
+    const auto kv = readGolden(file);
     ASSERT_FALSE(kv.empty())
-        << goldenPath(c.file)
+        << goldenPath(file)
         << " missing or unreadable; run with --update-golden to "
            "(re)generate";
 
@@ -145,6 +187,20 @@ checkGolden(const GoldenCase &c)
     char mrps[64];
     std::snprintf(mrps, sizeof mrps, "%.17g", res.achievedMrps);
     EXPECT_EQ(kv.at("achieved_mrps"), mrps);
+    if (messaging) {
+        EXPECT_EQ(kv.at("updates_sent"),
+                  std::to_string(res.messaging.updatesSent));
+        EXPECT_EQ(kv.at("bytes_on_noc"),
+                  std::to_string(res.messaging.bytesOnNoc));
+        EXPECT_EQ(kv.at("migrates_sent"),
+                  std::to_string(res.messaging.migratesSent));
+    }
+}
+
+void
+checkGolden(const GoldenCase &c)
+{
+    checkGolden(c.file, runGoldenScenario(c.design));
 }
 
 } // namespace
@@ -153,6 +209,11 @@ TEST(GoldenResults, RssDFcfs) { checkGolden(goldenCases()[0]); }
 TEST(GoldenResults, ZygosWorkStealing) { checkGolden(goldenCases()[1]); }
 TEST(GoldenResults, AcIntegrated) { checkGolden(goldenCases()[2]); }
 TEST(GoldenResults, AcRss) { checkGolden(goldenCases()[3]); }
+
+TEST(GoldenResults, AcIntShortPeriod)
+{
+    checkGolden("ac_int_period10", runShortPeriodScenario(), true);
+}
 
 int
 main(int argc, char **argv)

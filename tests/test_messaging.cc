@@ -2,6 +2,10 @@
  * @file
  * Hardware messaging mechanism tests: MIGRATE/ACK/NACK protocol,
  * buffer bounds, UPDATE broadcast, software fallback.
+ *
+ * UPDATEs are status registers read by syncView() from inside the
+ * reading event, so the UPDATE tests observe a manager's view from an
+ * event scheduled at the tick of interest, never after sim.run().
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +27,6 @@ struct MsgHarness
 
     std::vector<std::pair<unsigned, std::size_t>> delivered; // (mgr, n)
     std::vector<std::pair<unsigned, std::size_t>> returned;  // (mgr, n)
-    std::vector<std::tuple<unsigned, unsigned, std::size_t>> updates;
 
     explicit MsgHarness(HwMessaging::Config cfg = {},
                         std::vector<unsigned> tiles = {0, 3, 12, 15})
@@ -37,10 +40,36 @@ struct MsgHarness
                               const std::vector<net::Rpc *> &reqs) {
             returned.emplace_back(mgr, reqs.size());
         });
-        msg->setUpdate([this](unsigned mgr, unsigned src, std::size_t q) {
-            updates.emplace_back(mgr, src, q);
-        });
     }
+
+    /**
+     * Every manager's view as an event at @p when reads it. Entries
+     * are pre-set to kUnset, so a manager's own entry (which
+     * syncView never writes) stays kUnset.
+     */
+    std::vector<std::vector<std::size_t>>
+    viewsAt(Tick when)
+    {
+        const unsigned n = msg->numManagers();
+        std::vector<std::vector<std::size_t>> views(
+            n, std::vector<std::size_t>(n, kUnset));
+        sim.at(when, [this, &views] {
+            for (unsigned mgr = 0; mgr < views.size(); ++mgr)
+                msg->syncView(mgr, views[mgr]);
+        });
+        sim.run();
+        return views;
+    }
+
+    /** Schedule (now, not later) a read of manager @p mgr's view at
+     *  @p when into @p view; the read's seq is drawn here. */
+    void
+    readAt(Tick when, unsigned mgr, std::vector<std::size_t> &view)
+    {
+        sim.at(when, [this, mgr, &view] { msg->syncView(mgr, view); });
+    }
+
+    static constexpr std::size_t kUnset = ~std::size_t{0};
 
     std::vector<net::Rpc *>
     batch(unsigned n)
@@ -133,17 +162,32 @@ TEST(HwMessaging, ReceiverOverflowNacksAndReturns)
     EXPECT_EQ(h.msg->stats().descriptorsReturned, 8u);
 }
 
+/** Read time well past any UPDATE's arrival in these harnesses. */
+constexpr Tick kLate = 10 * kUs;
+
 TEST(HwMessaging, UpdateBroadcastReachesAllOthers)
 {
     MsgHarness h;
     h.msg->broadcastUpdate(1, 42);
     h.sim.run();
-    ASSERT_EQ(h.updates.size(), 3u);
-    for (auto &[mgr, src, q] : h.updates) {
-        EXPECT_NE(mgr, 1u);
-        EXPECT_EQ(src, 1u);
-        EXPECT_EQ(q, 42u);
+    const auto views = h.viewsAt(kLate);
+    unsigned reached = 0;
+    for (unsigned mgr = 0; mgr < 4; ++mgr) {
+        if (mgr == 1) {
+            // The broadcaster does not deliver to itself.
+            EXPECT_EQ(views[mgr][1], MsgHarness::kUnset);
+            continue;
+        }
+        EXPECT_EQ(views[mgr][1], 42u);
+        // Only manager 1 broadcast; no other source wrote a value.
+        for (unsigned src = 0; src < 4; ++src) {
+            if (src != 1 && src != mgr) {
+                EXPECT_EQ(views[mgr][src], 0u);
+            }
+        }
+        ++reached;
     }
+    EXPECT_EQ(reached, 3u);
     EXPECT_EQ(h.msg->stats().updatesSent, 3u);
 }
 
@@ -193,14 +237,17 @@ TEST(HwMessaging, UpdateCoalescingBoundsTraffic)
     // 3 destinations; first value flies immediately, later ones
     // coalesce into (few) follow-ups.
     EXPECT_LE(h.msg->stats().updatesSent, 3u * 4u);
-    // Every destination must end at the freshest value.
-    std::size_t last_seen[4] = {~0ull, ~0ull, ~0ull, ~0ull};
-    for (auto &[mgr, src, q] : h.updates) {
-        EXPECT_EQ(src, 0u);
-        last_seen[mgr] = q;
+    // Every destination must end at the freshest value, and only
+    // manager 0's entry was ever written.
+    const auto views = h.viewsAt(kLate);
+    for (unsigned mgr = 1; mgr < 4; ++mgr) {
+        EXPECT_EQ(views[mgr][0], 999u);
+        for (unsigned src = 1; src < 4; ++src) {
+            if (src != mgr) {
+                EXPECT_EQ(views[mgr][src], 0u);
+            }
+        }
     }
-    for (unsigned mgr = 1; mgr < 4; ++mgr)
-        EXPECT_EQ(last_seen[mgr], 999u);
 }
 
 TEST(HwMessaging, UpdateChannelRecoversAfterIdle)
@@ -209,11 +256,138 @@ TEST(HwMessaging, UpdateChannelRecoversAfterIdle)
     h.msg->broadcastUpdate(0, 1);
     h.sim.run();
     const auto first_batch = h.msg->stats().updatesSent;
-    h.msg->broadcastUpdate(0, 2);
+    // The second broadcast runs in an event past the first UPDATE's
+    // arrival, so every channel has gone idle by then.
+    h.sim.at(kLate, [&h] { h.msg->broadcastUpdate(0, 2); });
     h.sim.run();
     // Channel went idle, so the second broadcast sends fresh
-    // messages to all three peers again.
+    // messages to all three peers again -- none coalesced, so the
+    // queue ran only the broadcasting event itself.
     EXPECT_EQ(h.msg->stats().updatesSent, first_batch + 3);
+    EXPECT_EQ(h.sim.eventsExecuted(), 1u);
+    const auto views = h.viewsAt(2 * kLate);
+    for (unsigned mgr = 1; mgr < 4; ++mgr)
+        EXPECT_EQ(views[mgr][0], 2u);
+}
+
+/** Arrival tick of the first header-sized UPDATE from tile @p from
+ *  to tile @p to on an idle 4x4 mesh, sent at @p depart. */
+Tick
+firstUpdateArrival(unsigned from, unsigned to, Tick depart)
+{
+    noc::Mesh probe{4, 4};
+    return probe.send(noc::kVnSched, from, to, hw::kHeaderBytes,
+                      depart + hw::kControllerNs);
+}
+
+TEST(HwMessaging, UpdateLandingAtReaderTickFollowsEagerOrder)
+{
+    // An UPDATE lands at key (arrival, the seq it reserved at
+    // launch) -- where its delivery event sat when UPDATEs were
+    // events. A reader at the arrival tick whose event was scheduled
+    // before the launch (smaller seq) must still see the old value;
+    // one scheduled after the launch must see the new value.
+    MsgHarness h;
+    const Tick t0 = 100;
+    // Launch at t0 inside an event, as the runtime does. Manager 0
+    // sits at tile 0 and manager 1 at tile 3; 0 -> 1 is the first
+    // send of the broadcast, so an idle probe mesh predicts it.
+    const Tick arrive = firstUpdateArrival(0, 3, t0);
+    std::vector<std::size_t> early(4, 0), before(4, 0), after(4, 0);
+    h.readAt(arrive - 1, 1, early);
+    h.readAt(arrive, 1, before); // seq drawn before the launch
+    h.sim.at(t0, [&h, arrive, &after] {
+        h.msg->broadcastUpdate(0, 7);
+        h.readAt(arrive, 1, after); // seq drawn after the launch
+    });
+    h.sim.run();
+    EXPECT_EQ(early[0], 0u) << "UPDATE visible before its arrival";
+    EXPECT_EQ(before[0], 0u)
+        << "reader ordered before the delivery key saw the UPDATE";
+    EXPECT_EQ(after[0], 7u)
+        << "reader ordered after the delivery key missed the UPDATE";
+    // Nothing but the three scheduled events ran: no delivery events.
+    EXPECT_EQ(h.sim.eventsExecuted(), 4u);
+}
+
+TEST(HwMessaging, CoalescedUpdateTakesReservedSeqEventAndRelaunches)
+{
+    MsgHarness h;
+    h.msg->broadcastUpdate(0, 1);
+    // An idle channel launches lazily: no event is scheduled.
+    EXPECT_EQ(h.sim.pendingEvents(), 0u);
+    EXPECT_EQ(h.msg->stats().updatesSent, 3u);
+
+    // The first UPDATEs are airborne, so this one coalesces; each
+    // channel materializes exactly one landing event.
+    h.msg->broadcastUpdate(0, 2);
+    EXPECT_EQ(h.sim.pendingEvents(), 3u);
+    h.msg->broadcastUpdate(0, 3); // overwrites the pending value only
+    EXPECT_EQ(h.sim.pendingEvents(), 3u);
+    EXPECT_EQ(h.msg->stats().updatesSent, 3u);
+
+    // 0 -> 1 is each broadcast's first send; its landing event fires
+    // at the first arrival and relaunches the freshest value there.
+    const Tick first = firstUpdateArrival(0, 3, 0);
+    std::vector<std::size_t> mid(4, 0);
+    h.readAt(first + 1, 1, mid);
+    h.sim.run();
+    EXPECT_EQ(mid[0], 1u) << "first UPDATE did not land at its arrival";
+    // Three landing events plus the read; the relaunches are lazy.
+    EXPECT_EQ(h.sim.eventsExecuted(), 4u);
+    EXPECT_EQ(h.msg->stats().updatesSent, 6u);
+    EXPECT_EQ(h.msg->stats().bytesOnNoc, 6u * hw::kHeaderBytes);
+    const auto views = h.viewsAt(kLate);
+    for (unsigned mgr = 1; mgr < 4; ++mgr)
+        EXPECT_EQ(views[mgr][0], 3u);
+}
+
+TEST(HwMessaging, UpdateSkipsDeadDestination)
+{
+    MsgHarness h;
+    h.msg->setManagerDead(2);
+    h.msg->broadcastUpdate(0, 5);
+    EXPECT_EQ(h.msg->stats().updatesSent, 2u);
+    const auto views = h.viewsAt(kLate);
+    EXPECT_EQ(views[1][0], 5u);
+    EXPECT_EQ(views[3][0], 5u);
+
+    // A destination that dies with a coalesced UPDATE airborne still
+    // sees the pending value relaunched when the wire frees (the
+    // sender cannot know), but no later broadcast reaches it.
+    MsgHarness g;
+    g.msg->broadcastUpdate(0, 1);
+    g.msg->broadcastUpdate(0, 2);
+    g.msg->setManagerDead(2);
+    g.sim.run();
+    EXPECT_EQ(g.msg->stats().updatesSent, 6u);
+    g.sim.at(kLate, [&g] { g.msg->broadcastUpdate(0, 3); });
+    g.sim.run();
+    EXPECT_EQ(g.msg->stats().updatesSent, 8u);
+    const auto late = g.viewsAt(2 * kLate);
+    EXPECT_EQ(late[1][0], 3u);
+    EXPECT_EQ(late[3][0], 3u);
+}
+
+TEST(HwMessaging, SoftwareFallbackUpdateLandsAfterFixedLatency)
+{
+    HwMessaging::Config sw;
+    sw.hardware = false;
+    MsgHarness h(sw);
+    const Tick t0 = 50;
+    const Tick arrive = t0 + hw::kControllerNs + hw::kSwUpdateNs;
+    std::vector<std::size_t> early(4, 0), landed(4, 0);
+    h.sim.at(t0, [&] {
+        h.msg->broadcastUpdate(0, 9);
+        h.readAt(arrive - 1, 2, early);
+        h.readAt(arrive, 2, landed);
+    });
+    h.sim.run();
+    EXPECT_EQ(early[0], 0u);
+    EXPECT_EQ(landed[0], 9u);
+    EXPECT_EQ(h.msg->stats().updatesSent, 3u);
+    // Shared-cache messages never touch the NoC.
+    EXPECT_EQ(h.msg->stats().bytesOnNoc, 0u);
 }
 
 TEST(HwMessaging, ConcurrentMigrationsBetweenDisjointPairs)
