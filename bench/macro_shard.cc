@@ -8,12 +8,18 @@
  * policy the sharded kernel supports) -- on N kernel shards, and
  * reports items_per_second where one item is one completed simulated
  * request. Every N produces bit-identical results (the fingerprint
- * fold pins that inside the bench itself); the per-shard counters
- * differ only in wall clock, so the /1 vs /4 ratio *is* the sharded
- * executor's speedup on one topology too big for a single core's
- * event loop. On a multicore host /4 is expected >= 2x /1; on a
- * ci-constrained single-core runner the windows still execute
+ * counter pins that inside the bench itself); the rows differ only in
+ * wall clock, so the /1 vs /4 ratio *is* the sharded executor's
+ * speedup on one topology too big for a single core's event loop. On
+ * a ci-constrained single-core runner the windows still execute
  * (parallel_windows counter > 0) but yield their speedup back.
+ *
+ * Where the wall clock went, averaged per run: build_ms, windows_ms
+ * (parallel phase), serial_ms (the tail after it, or the whole run at
+ * /1) and fold_ms (observation merge and summaries); and per shard k
+ * of a sharded row -- shard 0 is the ToR on the calling thread,
+ * shards 1..N the servers -- sK_busy_ms, sK_wait_ms, sK_settle_ms
+ * (sim::ShardStats), sK_events, and sK_cross_sent / sK_cross_recv.
  *
  * The checked-in baseline is BENCH_shard.json (compared warn-only by
  * scripts/bench_compare.py in the perf-smoke job). Regenerate with
@@ -21,6 +27,10 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "system/rack.hh"
@@ -73,6 +83,8 @@ BM_MacroShard(benchmark::State &state)
     std::uint64_t completed = 0;
     std::uint64_t windows = 0;
     std::uint64_t fingerprint = 0;
+    RunResult::HostPhases phases;
+    std::vector<sim::ShardStats> shards;
     for (auto _ : state) {
         const RunResult res = runRackExperiment(cfg, spec);
         completed += res.completed;
@@ -82,9 +94,46 @@ BM_MacroShard(benchmark::State &state)
             return;
         }
         fingerprint = res.fingerprint;
+        phases.buildNs += res.hostPhases.buildNs;
+        phases.windowsNs += res.hostPhases.windowsNs;
+        phases.serialNs += res.hostPhases.serialNs;
+        phases.foldNs += res.hostPhases.foldNs;
+        shards.resize(res.shardStats.size());
+        for (std::size_t k = 0; k < shards.size(); ++k) {
+            const sim::ShardStats &s = res.shardStats[k];
+            shards[k].busyNs += s.busyNs;
+            shards[k].waitNs += s.waitNs;
+            shards[k].settleNs += s.settleNs;
+            shards[k].events += s.events;
+            shards[k].crossSent += s.crossSent;
+            shards[k].crossReceived += s.crossReceived;
+        }
         benchmark::DoNotOptimize(res.completed);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+    auto perRun = [&state](const std::string &name, double total) {
+        state.counters[name] =
+            benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+    };
+    constexpr double kNsPerMs = 1e6;
+    perRun("build_ms", static_cast<double>(phases.buildNs) / kNsPerMs);
+    perRun("windows_ms", static_cast<double>(phases.windowsNs) / kNsPerMs);
+    perRun("serial_ms", static_cast<double>(phases.serialNs) / kNsPerMs);
+    perRun("fold_ms", static_cast<double>(phases.foldNs) / kNsPerMs);
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+        const sim::ShardStats &s = shards[k];
+        auto perShard = [&perRun, k](const char *what, double total) {
+            char name[32];
+            std::snprintf(name, sizeof name, "s%zu_%s", k, what);
+            perRun(name, total);
+        };
+        perShard("busy_ms", static_cast<double>(s.busyNs) / kNsPerMs);
+        perShard("wait_ms", static_cast<double>(s.waitNs) / kNsPerMs);
+        perShard("settle_ms", static_cast<double>(s.settleNs) / kNsPerMs);
+        perShard("events", static_cast<double>(s.events));
+        perShard("cross_sent", static_cast<double>(s.crossSent));
+        perShard("cross_recv", static_cast<double>(s.crossReceived));
+    }
     // Every /N row must report the same value here: the run's
     // fingerprint does not depend on the shard count. A divergence
     // shows up as a changed user counter across rows.

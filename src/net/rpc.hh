@@ -154,8 +154,8 @@ class RpcPool
         // A double release corrupts the free list and silently hands
         // the same descriptor to two requests; catch it here while
         // the offender is on the stack. The pooled flag makes the
-        // check O(1) -- a membership scan of the free list would be
-        // quadratic once reserve() pre-sizes it to the request count.
+        // check O(1) -- a membership scan would cost time linear in
+        // the free list per release.
         altoc_assert(outstanding_ > 0,
                      "RpcPool::release underflow (rpc id %llu)",
                      static_cast<unsigned long long>(r->id));
@@ -170,8 +170,9 @@ class RpcPool
 
     /**
      * Pre-size the pool so @p n descriptors can be outstanding with
-     * no slab growth. runExperiment calls this with the request count
-     * so the warm steady state never touches the allocator.
+     * no slab growth. For callers that know their in-flight peak
+     * (micro benches, probes); a run does not call it -- its pool
+     * grows one slab at a time to the peak in-flight count.
      */
     void
     reserve(std::size_t n)

@@ -3,25 +3,28 @@
  * Kernel implementation: the serial (tick, region, seq) merge loop
  * and the conservative window-parallel executor.
  *
- * Window protocol (runWindows). The calling thread is the
- * controller; each shard gets one worker thread. Per window:
+ * Window protocol (runWindows). Shard 0 runs on the calling thread,
+ * which also owns the window boundaries; shards 1..S-1 each get one
+ * worker thread. Per window:
  *
- *   1. boundary (workers quiescent): the controller peeks every
- *      region for the earliest pending tick winStart, evaluates the
- *      stop flag, the parallel gate and the reconciled audit state,
- *      and either exits the parallel phase or publishes winEnd =
+ *   1. boundary (workers quiescent): the caller peeks every region
+ *      for the earliest pending tick winStart, evaluates the stop
+ *      flag, the parallel gate and the reconciled audit state, and
+ *      either exits the parallel phase or publishes winEnd =
  *      winStart + lookahead (clamped to the run bound);
- *   2. dispatch: epoch_ advances; every worker dispatches its own
- *      regions' events with tick < winEnd in (tick, region, seq)
- *      order, sweeping its incoming channels every kDrainStride
- *      dispatches and while it spins -- a shard blocked pushing into
- *      a full channel is always simultaneously emptying the channels
- *      others might be blocked on, so backpressure cannot deadlock;
- *   3. settle: once every worker signaled doneDispatch_ no producer
- *      is active; drainSeq_ advances and each worker performs one
- *      final, now-complete sweep of its channels, then signals
- *      doneDrain_ and parks. The controller is back at (1) with
- *      every cross-window event already inserted.
+ *   2. dispatch: epoch_ advances; every shard -- the caller's shard 0
+ *      included -- dispatches its own regions' events with tick <
+ *      winEnd in (tick, region, seq) order, sweeping its incoming
+ *      channels every kDrainStride dispatches and while it waits for
+ *      its peers -- a shard blocked pushing into a full channel is
+ *      always simultaneously emptying the channels others might be
+ *      blocked on, so backpressure cannot deadlock;
+ *   3. settle: once every worker signaled doneDispatch_ (and the
+ *      caller finished its own dispatch) no producer is active;
+ *      drainSeq_ advances and every shard performs one final,
+ *      now-complete sweep of its channels; the workers signal
+ *      doneDrain_ and park. The caller is back at (1) with every
+ *      cross-window event already inserted.
  *
  * Exactness: a cross-region event sent at tick t carries tick >=
  * t + lookahead >= winEnd, so nothing received mid-window is
@@ -36,6 +39,8 @@
 
 #include <algorithm>
 #include <thread>
+
+#include "common/host_clock.hh"
 
 namespace altoc::sim {
 
@@ -195,6 +200,8 @@ Tick
 Kernel::runSharded(const ShardPlan &plan, Tick until, ParallelGate gate)
 {
     windows_ = 0;
+    shardStats_.clear();
+    windowsNs_ = 0;
     if (numRegions() <= 1 || plan.shards <= 1)
         return run(until);
     altoc_assert(plan.shardOf.size() == regions_.size(),
@@ -206,7 +213,9 @@ Kernel::runSharded(const ShardPlan &plan, Tick until, ParallelGate gate)
     altoc_assert(plan.lookahead >= 1,
                  "sharded execution needs a positive lookahead");
     stopFlag_.store(false, std::memory_order_relaxed);
+    const std::uint64_t t0 = hostNowNs();
     runWindows(plan, until, gate);
+    windowsNs_ = hostNowNs() - t0;
     return runMergeLoop(until);
 }
 
@@ -221,10 +230,19 @@ Kernel::runWindows(const ShardPlan &plan, Tick until, ParallelGate &gate)
     for (unsigned r = 0; r < numRegions(); ++r)
         owned[shardOf_[r]].push_back(r);
 
+    // Channels only between distinct shards: a shard's events for its
+    // own regions are direct inserts (crossSchedule).
     rings_.clear();
-    rings_.reserve(static_cast<std::size_t>(nShards) * nShards);
-    for (unsigned i = 0; i < nShards * nShards; ++i)
-        rings_.push_back(std::make_unique<SpscRing<CrossEvent>>(kRingSlots));
+    rings_.resize(static_cast<std::size_t>(nShards) * nShards);
+    for (unsigned src = 0; src < nShards; ++src) {
+        for (unsigned dst = 0; dst < nShards; ++dst) {
+            if (src != dst) {
+                rings_[src * nShards + dst] =
+                    std::make_unique<SpscRing<CrossEvent>>(kRingSlots);
+            }
+        }
+    }
+    slots_.assign(nShards, ShardSlot{});
 
     {
         MutexLock lock(auditMu_);
@@ -245,11 +263,13 @@ Kernel::runWindows(const ShardPlan &plan, Tick until, ParallelGate &gate)
     exit_.store(false, std::memory_order_relaxed);
     parallelActive_ = true;
 
+    const unsigned workers = nShards - 1;
     std::vector<std::thread> threads;
-    threads.reserve(nShards);
-    for (unsigned j = 0; j < nShards; ++j)
+    threads.reserve(workers);
+    for (unsigned j = 1; j < nShards; ++j)
         threads.emplace_back([this, j, &owned] { workerLoop(j, owned[j]); });
 
+    ShardStats &self = slots_[0].stats;
     std::uint64_t ep = 0;
     for (;;) {
         // Boundary: workers are quiescent (start, or doneDrain_
@@ -278,13 +298,28 @@ Kernel::runWindows(const ShardPlan &plan, Tick until, ParallelGate &gate)
         doneDispatch_.store(0, std::memory_order_relaxed);
         doneDrain_.store(0, std::memory_order_relaxed);
         epoch_.store(++ep, std::memory_order_release);
+
+        // Shard 0 is ours: dispatch it exactly as a worker would.
+        const std::uint64_t t0 = hostNowNs();
+        dispatchWindow(0, owned[0], winEnd);
+        const std::uint64_t t1 = hostNowNs();
+        // Keep emptying our channels while the workers finish: one of
+        // them may be blocked pushing toward shard 0.
         SpinWait dispatchWait;
-        while (doneDispatch_.load(std::memory_order_acquire) < nShards)
+        while (doneDispatch_.load(std::memory_order_acquire) < workers) {
+            drainRings(0);
             dispatchWait.pause();
+        }
+        const std::uint64_t t2 = hostNowNs();
         drainSeq_.store(ep, std::memory_order_release);
+        drainRings(0);
         SpinWait drainWait;
-        while (doneDrain_.load(std::memory_order_acquire) < nShards)
+        while (doneDrain_.load(std::memory_order_acquire) < workers)
             drainWait.pause();
+        const std::uint64_t t3 = hostNowNs();
+        self.busyNs += t1 - t0;
+        self.waitNs += t2 - t1;
+        self.settleNs += t3 - t2;
         ++windows_;
     }
 
@@ -294,13 +329,19 @@ Kernel::runWindows(const ShardPlan &plan, Tick until, ParallelGate &gate)
         t.join();
     parallelActive_ = false;
     rings_.clear();
+    shardStats_.assign(nShards, ShardStats{});
+    for (unsigned j = 0; j < nShards; ++j)
+        shardStats_[j] = slots_[j].stats;
+    slots_.clear();
 }
 
 void
 Kernel::workerLoop(unsigned self, const std::vector<unsigned> &owned)
 {
+    ShardStats &st = slots_[self].stats;
     std::uint64_t ep = 0;
     for (;;) {
+        const std::uint64_t t0 = hostNowNs();
         SpinWait epochWait;
         while (epoch_.load(std::memory_order_acquire) == ep)
             epochWait.pause();
@@ -308,31 +349,10 @@ Kernel::workerLoop(unsigned self, const std::vector<unsigned> &owned)
         if (exit_.load(std::memory_order_acquire))
             return;
         const Tick winEnd = winEnd_.load(std::memory_order_relaxed);
+        const std::uint64_t t1 = hostNowNs();
         drainRings(self);
-        unsigned sinceDrain = 0;
-        for (;;) {
-            // (tick, region, seq) order restricted to our regions;
-            // seq ordering within a region is the queue's own.
-            unsigned best = ~0u;
-            Tick bw = kTickInf;
-            for (unsigned r : owned) {
-                const Tick w = regions_[r]->events_.peekTime();
-                if (w < bw) {
-                    bw = w;
-                    best = r;
-                }
-            }
-            if (best == ~0u || bw >= winEnd)
-                break;
-            dispatchOne(best);
-            if (++sinceDrain >= kDrainStride) {
-                drainRings(self);
-                sinceDrain = 0;
-            }
-        }
-#if ALTOC_AUDIT_ENABLED
-        reconcileAudit(owned);
-#endif
+        dispatchWindow(self, owned, winEnd);
+        const std::uint64_t t2 = hostNowNs();
         doneDispatch_.fetch_add(1, std::memory_order_acq_rel);
         // Keep emptying our channels while peers still dispatch, so
         // none of them can wedge on a full ring; the final sweep
@@ -342,15 +362,53 @@ Kernel::workerLoop(unsigned self, const std::vector<unsigned> &owned)
             drainRings(self);
             settleWait.pause();
         }
+        const std::uint64_t t3 = hostNowNs();
         drainRings(self);
+        st.busyNs += t2 - t1;
+        st.waitNs += (t1 - t0) + (t3 - t2);
+        st.settleNs += hostNowNs() - t3;
         doneDrain_.fetch_add(1, std::memory_order_acq_rel);
     }
+}
+
+ALTOC_HOT void
+Kernel::dispatchWindow(unsigned self, const std::vector<unsigned> &owned,
+                       Tick winEnd)
+{
+    std::uint64_t dispatched = 0;
+    unsigned sinceDrain = 0;
+    for (;;) {
+        // (tick, region, seq) order restricted to our regions; seq
+        // ordering within a region is the queue's own.
+        unsigned best = ~0u;
+        Tick bw = kTickInf;
+        for (unsigned r : owned) {
+            const Tick w = regions_[r]->events_.peekTime();
+            if (w < bw) {
+                bw = w;
+                best = r;
+            }
+        }
+        if (best == ~0u || bw >= winEnd)
+            break;
+        dispatchOne(best);
+        ++dispatched;
+        if (++sinceDrain >= kDrainStride) {
+            drainRings(self);
+            sinceDrain = 0;
+        }
+    }
+    slots_[self].stats.events += dispatched;
+#if ALTOC_AUDIT_ENABLED
+    reconcileAudit(owned);
+#endif
 }
 
 ALTOC_HOT void
 Kernel::drainRings(unsigned self)
 {
     CrossEvent ev;
+    std::uint64_t received = 0;
     for (unsigned src = 0; src < shards_; ++src) {
         if (src == self)
             continue;
@@ -358,8 +416,10 @@ Kernel::drainRings(unsigned self)
         while (ring.tryPop(ev)) {
             regions_[ev.dst]->events_.scheduleAtSeq(ev.when, ev.seq,
                                                     std::move(ev.cb));
+            ++received;
         }
     }
+    slots_[self].stats.crossReceived += received;
 }
 
 ALTOC_HOT void
@@ -371,6 +431,7 @@ Kernel::crossPush(unsigned srcShard, unsigned dstShard, CrossEvent ev)
         drainRings(srcShard);
         fullWait.pause();
     }
+    ++slots_[srcShard].stats.crossSent;
 }
 
 void

@@ -32,13 +32,14 @@
  * whether the event traveled through a direct insert (serial, or
  * same shard) or an SPSC channel (parallel).
  *
- * Sharded execution (runSharded) partitions regions across worker
- * threads and advances them in barrier-synchronized windows of width
- * equal to the lookahead: every cross-region event sent inside a
- * window lands at least one full window later, so a shard can
- * dispatch its whole window without observing its peers. See
- * DESIGN.md section 14 for the window protocol and the determinism
- * argument.
+ * Sharded execution (runSharded) partitions regions across shards
+ * -- shard 0 runs on the calling thread, every other shard on a
+ * worker thread of its own -- and advances them in
+ * barrier-synchronized windows of width equal to the lookahead:
+ * every cross-region event sent inside a window lands at least one
+ * full window later, so a shard can dispatch its whole window
+ * without observing its peers. See DESIGN.md section 14 for the
+ * window protocol and the determinism argument.
  */
 
 #ifndef ALTOC_SIM_KERNEL_HH
@@ -60,6 +61,32 @@
 #include "sim/spsc.hh"
 
 namespace altoc::sim {
+
+/**
+ * Host-time accounting of one shard over a sharded run's parallel
+ * phase. Timings are taken per window, never per event. Purely an
+ * execution statistic: it varies from run to run and never feeds
+ * simulated state, fingerprints or stats dumps.
+ */
+struct ShardStats
+{
+    /** Dispatching this shard's events, in-window channel sweeps
+     *  included. */
+    std::uint64_t busyNs = 0;
+    /** Blocked at the window barriers: waiting for the peers to
+     *  finish dispatching (sweeping our channels meanwhile) and, on
+     *  a worker, for the next window to open. */
+    std::uint64_t waitNs = 0;
+    /** The settle phase: the final channel sweep once every shard
+     *  finished dispatching, up to the window's closing barrier. */
+    std::uint64_t settleNs = 0;
+    /** Events dispatched inside parallel windows. */
+    std::uint64_t events = 0;
+    /** Cross-region events pushed into / popped from the channels
+     *  between this shard and the others. */
+    std::uint64_t crossSent = 0;
+    std::uint64_t crossReceived = 0;
+};
 
 /**
  * A set of Simulator regions advancing as one deterministic
@@ -148,10 +175,15 @@ class Kernel
      */
     Tick run(Tick until = kTickInf);
 
-    /** How regions map onto shard threads for runSharded. */
+    /**
+     * How regions map onto shards for runSharded. Shard 0 runs on the
+     * thread that calls runSharded; shards 1..shards-1 each get a
+     * worker thread. A plan therefore uses shards - 1 extra threads.
+     */
     struct ShardPlan
     {
-        /** Worker thread count (>= 2 to actually parallelize). */
+        /** Shard count, the caller's shard 0 included (>= 2 to
+         *  actually parallelize). */
         unsigned shards = 1;
 
         /** Conservative lookahead: the minimum delay of any
@@ -173,10 +205,11 @@ class Kernel
     using ParallelGate = InlineFunction<bool()>;
 
     /**
-     * Sharded run: conservative windows of @p plan.lookahead ns
-     * executed by plan.shards threads while the gate holds, then the
-     * serial canonical loop for the tail. Produces the exact event
-     * order of run() -- same goldens, fingerprints, trace bytes.
+     * Sharded run: conservative windows of @p plan.lookahead ns while
+     * the gate holds -- the calling thread executes shard 0 and
+     * plan.shards - 1 workers execute the rest -- then the serial
+     * canonical loop for the tail. Produces the exact event order of
+     * run() -- same goldens, fingerprints, trace bytes.
      */
     Tick runSharded(const ShardPlan &plan, Tick until = kTickInf,
                     ParallelGate gate = {});
@@ -184,6 +217,25 @@ class Kernel
     /** Parallel windows executed by the last runSharded (tests and
      *  benches assert the parallel path actually ran). */
     std::uint64_t parallelWindows() const { return windows_; }
+
+    /** Per-shard accounting of the last runSharded's parallel phase,
+     *  shard 0 first; empty when it ran serially. */
+    const std::vector<ShardStats> &shardStats() const
+    {
+        return shardStats_;
+    }
+
+    /** Host wall time of the last runSharded's parallel phase, in ns
+     *  (0 when it ran serially). */
+    std::uint64_t windowsNs() const { return windowsNs_; }
+
+    /** True while parallel windows run: every shard thread sees it
+     *  set for the whole parallel phase (it is written only before
+     *  the workers start and after they joined). */
+    bool parallelPhase() const { return parallelActive_; }
+
+    /** Capacity of each inter-shard channel. */
+    static constexpr std::size_t kRingSlots = 1024;
 
   private:
     /** One event in flight between shards. */
@@ -199,9 +251,6 @@ class Kernel
      *  region index sits above them (see event_queue.hh). */
     static constexpr unsigned kCrossRegionShift = 40;
 
-    /** Capacity of each inter-shard channel. */
-    static constexpr std::size_t kRingSlots = 4096;
-
     /** Incoming-channel sweep period during a shard's window. */
     static constexpr unsigned kDrainStride = 256;
 
@@ -214,12 +263,19 @@ class Kernel
      *  stop flag (run() and runSharded() own that). */
     Tick runMergeLoop(Tick until);
 
-    /** The window-parallel phase of runSharded. */
+    /** The window-parallel phase of runSharded; the calling thread
+     *  executes shard 0. */
     void runWindows(const ShardPlan &plan, Tick until,
                     ParallelGate &gate);
 
-    /** Shard @p self's thread body. */
+    /** Worker body of shard @p self (>= 1). */
     void workerLoop(unsigned self, const std::vector<unsigned> &owned);
+
+    /** Dispatch shard @p self's @p owned regions' events with tick <
+     *  @p winEnd in (tick, region, seq) order, sweeping its incoming
+     *  channels every kDrainStride dispatches. */
+    void dispatchWindow(unsigned self, const std::vector<unsigned> &owned,
+                        Tick winEnd);
 
     /** Insert every event queued toward shard @p self. Only shard
      *  self's thread may call this (SPSC consumer side). */
@@ -249,7 +305,8 @@ class Kernel
 
     /** Region -> shard map of the active plan. */
     std::vector<unsigned> shardOf_;
-    /** Shard-pair SPSC channels, rings_[src * shards_ + dst]. */
+    /** Shard-pair SPSC channels, rings_[src * shards_ + dst]; null
+     *  on the diagonal (a shard inserts its own events directly). */
     std::vector<std::unique_ptr<SpscRing<CrossEvent>>> rings_;
     unsigned shards_ = 1;
     /** True only while worker threads exist (set before spawn, /
@@ -265,8 +322,18 @@ class Kernel
     std::atomic<Tick> winEnd_{0};
     std::uint64_t windows_ = 0;
 
+    /** One shard's accounting, alone on its cache line: written only
+     *  by that shard's thread while the windows run. */
+    struct alignas(64) ShardSlot
+    {
+        ShardStats stats;
+    };
+    std::vector<ShardSlot> slots_;
+    std::vector<ShardStats> shardStats_;
+    std::uint64_t windowsNs_ = 0;
+
     /** Audit fan-in seam: shards reconcile their regions' violation
-     *  counts here at window boundaries; the controller aborts the
+     *  counts here at window boundaries; the calling thread ends the
      *  parallel phase as soon as any window saw a violation. */
     Mutex auditMu_;
     std::uint64_t auditViolations_ ALTOC_GUARDED_BY(auditMu_) = 0;

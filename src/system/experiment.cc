@@ -319,8 +319,8 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
                              dist_name, slo, warmup, spec.seed,
                              spec.faults.forServer(0),
                              spec.logLatencyHistogram, spec.tracing);
-    // Pre-size the descriptor pool and latency store so the measured
-    // run performs no slab growth or sample-vector reallocation.
+    // Pre-size the latency store so recording never reallocates (the
+    // descriptor pool grows with the in-flight count instead).
     server->reserveFor(total);
     server->stopAfterCompletions(total);
 

@@ -19,6 +19,7 @@
 #include "core/params.hh"
 #include "net/nic.hh"
 #include "sched/scheduler.hh"
+#include "sim/kernel.hh"
 #include "stats/histogram.hh"
 #include "system/server.hh"
 #include "system/topology.hh"
@@ -283,6 +284,29 @@ struct RunResult
      *  and benches assert it to prove the parallel path actually ran
      *  rather than silently collapsing to serial. */
     std::uint64_t parallelWindows = 0;
+
+    /**
+     * Host wall time of a rack run's phases, in ns: building the
+     * world (rack, generator, hooks), the sharded kernel's parallel
+     * windows, the serial loop (the whole run when unsharded, the
+     * tail after the parallel phase otherwise), and the post-run fold
+     * (observation merge and latency summaries). Execution statistics
+     * like parallelWindows: they vary from run to run, never feed the
+     * fingerprint and stay out of dumpStats. Zero on the classic
+     * single-server path.
+     */
+    struct HostPhases
+    {
+        std::uint64_t buildNs = 0;
+        std::uint64_t windowsNs = 0;
+        std::uint64_t serialNs = 0;
+        std::uint64_t foldNs = 0;
+    };
+    HostPhases hostPhases;
+
+    /** Per-shard accounting of the parallel phase, shard 0 (the ToR,
+     *  on the calling thread) first; empty on serial runs. */
+    std::vector<sim::ShardStats> shardStats;
 
     std::vector<RequestOutcome> perRequest;
 

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/fingerprint.hh"
+#include "common/host_clock.hh"
 #include "common/logging.hh"
 #include "sim/fault_injector.hh"
 
@@ -306,8 +307,15 @@ Rack::noteCoreDeath(unsigned s)
 void
 Rack::stopAfterCompletions(std::uint64_t n)
 {
-    for (auto &srv : servers_)
-        srv->stopAfterSharedCompletions(&sharedDone_, n);
+    // Evaluated only outside parallel windows: the parallel gate
+    // proves the bound cannot be crossed inside one (DESIGN.md sec.
+    // 14), and outside them one thread runs every region, so the
+    // per-server counts are current and read race-free.
+    for (auto &srv : servers_) {
+        srv->stopAfterSharedCompletions([this, n] {
+            return !kernel_.parallelPhase() && completedTotal() >= n;
+        });
+    }
 }
 
 Tick
@@ -361,14 +369,16 @@ Rack::runSharded(unsigned shards, Tick until,
 {
     if (shards <= 1 || numServers() == 1)
         return run(until);
+    // The ToR runs alone on shard 0, which the calling thread
+    // executes; the servers spread over the worker shards 1..shards.
     sim::Kernel::ShardPlan plan;
-    plan.shards = shards;
+    plan.shards = shards + 1;
     plan.lookahead = links_[0].minDelivery();
     for (const net::RackLink &link : links_)
         plan.lookahead = std::min(plan.lookahead, link.minDelivery());
     plan.shardOf.resize(kernel_.numRegions());
     for (unsigned s = 0; s < numServers(); ++s)
-        plan.shardOf[s] = s * shards / numServers();
+        plan.shardOf[s] = 1 + s * shards / numServers();
     plan.shardOf[torRegion_] = 0;
     const Tick end = kernel_.runSharded(plan, until, std::move(gate));
     settle();
@@ -386,8 +396,8 @@ void
 Rack::reserveFor(std::uint64_t total_requests)
 {
     const unsigned n = numServers();
-    // Per-server share plus imbalance headroom; the pools still grow
-    // on demand if a skewed policy concentrates more than that.
+    // Per-server share plus imbalance headroom; the sample stores
+    // still grow on demand if a skewed policy concentrates more.
     const std::uint64_t per =
         n == 1 ? total_requests
                : total_requests / n + total_requests / (4 * n) + 1024;
@@ -627,6 +637,7 @@ struct ObsRec
 RunResult
 runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
 {
+    const std::uint64_t buildStart = hostNowNs();
     const DerivedSpec d = derive(spec);
 
     Rack rack(cfg, spec);
@@ -755,6 +766,7 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     RackLoadGenerator gen(rack, spec);
     const unsigned shards = rack.resolveShards(cfg.shards);
     gen.start();
+    const std::uint64_t runStart = hostNowNs();
     Tick end = 0;
     if (shards > 1) {
         // Stay parallel only while arrivals are still pending: a
@@ -770,6 +782,7 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     } else {
         end = rack.run(spec.timeLimit);
     }
+    const std::uint64_t foldStart = hostNowNs();
 
     if (n > 1) {
         // Replay the merged observation stream in ascending (tick,
@@ -838,6 +851,7 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     result.fingerprint = fpc.fp.digest();
     result.fingerprintEvents = fpc.events;
     result.parallelWindows = rack.kernel().parallelWindows();
+    result.shardStats = rack.kernel().shardStats();
 
     for (unsigned s = 0; s < n; ++s) {
         const Server &srv = rack.server(s);
@@ -910,6 +924,12 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
             result.perServer.push_back(ps);
         }
     }
+
+    RunResult::HostPhases &ph = result.hostPhases;
+    ph.buildNs = runStart - buildStart;
+    ph.windowsNs = rack.kernel().windowsNs();
+    ph.serialNs = foldStart - runStart - ph.windowsNs;
+    ph.foldNs = hostNowNs() - foldStart;
 
     if (spec.dumpStats) {
         if (n == 1)

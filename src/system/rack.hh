@@ -46,7 +46,6 @@
 #ifndef ALTOC_SYSTEM_RACK_HH
 #define ALTOC_SYSTEM_RACK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -123,7 +122,9 @@ class Rack
     /** Account one request shed at the ToR (all servers dead). */
     void shedAtTor(std::uint64_t rpc_id);
 
-    /** Stop the kernel once @p n requests completed rack-wide. */
+    /** Stop the kernel once @p n requests completed rack-wide,
+     *  summed from the per-server counts after each completion
+     *  outside parallel windows (Server::stopAfterSharedCompletions). */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
@@ -138,24 +139,29 @@ class Rack
      *    reproduce;
      *  - fault specs with fail-stops: server death synchronously
      *    updates the ToR's steering state;
-     * and clamps: at most one shard per server (the ToR shares shard
-     * 0), at most the host's hardware concurrency.
+     * and clamps to at most one shard per server. The result counts
+     * server partitions: the ToR runs on a shard of its own on top
+     * (see runSharded). No hardware-concurrency clamp -- host fitting
+     * is the batch layer's job (runMany).
      */
     unsigned resolveShards(unsigned requested) const;
 
     /**
-     * Sharded run: server s executes on shard s*shards/servers, the
-     * ToR on shard 0, windows of the rack link's minimum delivery
-     * time. @p gate as in sim::Kernel::runSharded -- runRackExperiment
-     * passes "arrivals still pending", which provably confines the
-     * completion-count stop to the serial tail (DESIGN.md sec. 14).
-     * Exact same results as run(); callers should pass a @p shards
-     * value vetted by resolveShards().
+     * Sharded run over @p shards server partitions: the ToR region
+     * runs alone on shard 0, which the calling thread executes, and
+     * server s on worker shard 1 + s*shards/servers -- @p shards
+     * worker threads plus the caller. Windows are the rack link's
+     * minimum delivery time. @p gate as in sim::Kernel::runSharded --
+     * runRackExperiment passes "arrivals still pending", which
+     * provably confines the completion-count stop to the serial tail
+     * (DESIGN.md sec. 14). Exact same results as run(); callers
+     * should pass a @p shards value vetted by resolveShards().
      */
     Tick runSharded(unsigned shards, Tick until = kTickInf,
                     sim::Kernel::ParallelGate gate = {});
 
-    /** Pre-size every server's pool and sample store. */
+    /** Pre-size every server's latency sample store (descriptor
+     *  pools grow with the in-flight count; see Server::reserveFor). */
     void reserveFor(std::uint64_t total_requests);
 
     // ----- ToR state and counters ------------------------------------
@@ -234,11 +240,6 @@ class Rack
     unsigned rrNext_ = 0;
     std::uint64_t torDispatched_ = 0;
     std::uint64_t torShed_ = 0;
-    /** Rack-wide completion count, shared across every server's
-     *  completion path; atomic so sharded workers settle completions
-     *  concurrently (the parallel gate keeps the stop threshold out
-     *  of the parallel phase -- DESIGN.md sec. 14). */
-    std::atomic<std::uint64_t> sharedDone_{0};
 };
 
 /**

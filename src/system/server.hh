@@ -15,7 +15,6 @@
 #ifndef ALTOC_SYSTEM_SERVER_HH
 #define ALTOC_SYSTEM_SERVER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -144,14 +143,14 @@ class Server : public sched::CompletionSink
     net::Rpc *makeRpc();
 
     /**
-     * Pre-size the descriptor pool and the latency sample store for a
-     * run of @p n requests, so the warm steady state performs no slab
-     * growth or histogram reallocation.
+     * Pre-size the latency sample store for a run of @p n requests,
+     * so recording never reallocates it. The descriptor pool is not
+     * pre-sized: it grows in 4096-descriptor slabs to the in-flight
+     * peak, a few allocations per run (DESIGN.md section 11).
      */
     void
     reserveFor(std::uint64_t n)
     {
-        pool_.reserve(static_cast<std::size_t>(n));
         tracker_.reserve(static_cast<std::size_t>(n));
     }
 
@@ -217,20 +216,19 @@ class Server : public sched::CompletionSink
     void stopAfterCompletions(std::uint64_t n) { stopAfter_ = n; }
 
     /**
-     * Rack variant: count this server's completions into the shared
-     * @p counter and stop the (shared) kernel once it reaches @p n.
-     * The pointer must outlive the run. Replaces any per-server
-     * stopAfterCompletions bound. Atomic so N servers sharded across
-     * kernel threads can settle completions concurrently; the rack's
-     * parallel gate guarantees the threshold itself can only be
-     * crossed in the serial phase (DESIGN.md section 14).
+     * Rack variant: after each completion ask @p reached whether the
+     * rack-wide completion bound is met, and stop the shared kernel
+     * when it is. Replaces any per-server stopAfterCompletions bound.
+     * The rack answers from the per-server completed() counts, and
+     * only outside parallel windows, where its parallel gate proves
+     * the bound cannot be crossed (DESIGN.md section 14) -- so no
+     * counter is shared between shard threads.
      */
+    using StopCheck = InlineFunction<bool()>;
     void
-    stopAfterSharedCompletions(std::atomic<std::uint64_t> *counter,
-                               std::uint64_t n)
+    stopAfterSharedCompletions(StopCheck reached)
     {
-        sharedDone_ = counter;
-        stopAfter_ = n;
+        sharedStop_ = std::move(reached);
     }
 
     const stats::SloTracker &tracker() const { return tracker_; }
@@ -356,9 +354,9 @@ class Server : public sched::CompletionSink
     std::uint64_t completed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
-    /** Rack-shared completion counter; null in the classic world
-     *  (stopAfter_ then bounds this server's own completions). */
-    std::atomic<std::uint64_t> *sharedDone_ = nullptr;
+    /** Rack-wide stop bound; unset in the classic world (stopAfter_
+     *  then bounds this server's own completions). */
+    StopCheck sharedStop_;
     /** At least one core has fail-stopped; admission shedding is
      *  armed (see requestsShed()). */
     bool degraded_ = false;

@@ -3,7 +3,8 @@
  * Golden-result regression suite: pins the exact simulation output of
  * one representative run per headline design (d-FCFS/RSS, work
  * stealing, AC on integrated NIC, AC on commodity RSS NIC), plus a
- * short-period AC_int run, against checked-in files in tests/golden/. Any change to event ordering,
+ * short-period AC_int run and an overloaded AC_int run, against
+ * checked-in files in tests/golden/. Any change to event ordering,
  * RNG consumption, scheduler decisions or stats accounting shows up
  * as a fingerprint mismatch here before it silently shifts a figure.
  *
@@ -106,6 +107,29 @@ runShortPeriodScenario()
     spec.connections = 256;
     spec.sloFactor = 10.0;
     spec.seed = 31;
+    return runExperiment(cfg, spec);
+}
+
+/**
+ * An overloaded AC_int run: 60 MRPS of 1 us requests against 16
+ * cores (about 14 MRPS of capacity), so the backlog -- and with it
+ * the descriptor pool -- peaks at roughly 15k in-flight requests,
+ * crossing several 4096-descriptor slabs. Pins that growing the pool
+ * during a run is invisible to the event stream.
+ */
+RunResult
+runOverloadScenario()
+{
+    DesignConfig cfg;
+    cfg.design = Design::AcInt;
+    cfg.cores = 16;
+    cfg.groups = 2;
+
+    WorkloadSpec spec;
+    spec.service = workload::makeExponential(1 * kUs);
+    spec.rateMrps = 60.0;
+    spec.requests = 20000;
+    spec.seed = 77;
     return runExperiment(cfg, spec);
 }
 
@@ -213,6 +237,11 @@ TEST(GoldenResults, AcRss) { checkGolden(goldenCases()[3]); }
 TEST(GoldenResults, AcIntShortPeriod)
 {
     checkGolden("ac_int_period10", runShortPeriodScenario(), true);
+}
+
+TEST(GoldenResults, AcIntOverloadPoolGrowth)
+{
+    checkGolden("ac_int_overload", runOverloadScenario(), true);
 }
 
 int

@@ -20,6 +20,11 @@
  *  4. Downgrade semantics: load-inspecting ToR policies and N=1
  *     topologies resolve to the serial kernel rather than changing
  *     results.
+ *  5. The window protocol itself, at kernel level: the calling
+ *     thread's shard 0 sends and receives more than a channel holds
+ *     in one window and still reproduces Kernel::run()'s dispatch
+ *     order; the rack places the ToR alone on that shard and reports
+ *     per-shard accounting.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "sim/fault_spec.hh"
+#include "sim/kernel.hh"
 #include "system/rack.hh"
 #include "workload/distributions.hh"
 
@@ -264,4 +270,141 @@ TEST(Sharded, SingleServerStaysSerial)
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.fingerprintEvents, b.fingerprintEvents);
     EXPECT_EQ(b.parallelWindows, 0u);
+}
+
+// ---------------------------------------------------------------------
+// 5. Window protocol at kernel level, and the rack's shard placement
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr Tick kLookahead = 100;
+constexpr unsigned kRegions = 4;
+/** Cross events each region fires at tick 0 -- all inside the first
+ *  window, and several channels' worth. */
+constexpr std::uint64_t kBurst = 3 * sim::Kernel::kRingSlots;
+
+/**
+ * Four regions that flood each other with cross-region events: each
+ * fires kBurst at tick 0, a fifth of the landings bounce on (up to
+ * twice), and some landings add a local event. Every dispatch
+ * appends (tick, tag) to its region's log, which only that region's
+ * thread touches.
+ */
+struct CrossFlood
+{
+    sim::Kernel kernel;
+    std::vector<std::vector<std::pair<Tick, std::uint64_t>>> logs;
+
+    CrossFlood() : logs(kRegions)
+    {
+        for (unsigned r = 0; r < kRegions; ++r)
+            kernel.addRegion();
+        for (unsigned r = 0; r < kRegions; ++r)
+            kernel.region(r).at(0, [this, r] { burst(r); });
+    }
+
+    void
+    burst(unsigned src)
+    {
+        for (std::uint64_t i = 0; i < kBurst; ++i) {
+            const unsigned dst = (src + 1 + i % (kRegions - 1)) % kRegions;
+            const Tick when = kernel.region(src).now() + kLookahead + i % 7;
+            const std::uint64_t tag = (std::uint64_t{src} << 32) | i;
+            kernel.crossSchedule(src, dst, when,
+                                 [this, dst, tag] { land(dst, tag, 0); });
+        }
+    }
+
+    void
+    land(unsigned r, std::uint64_t tag, unsigned hop)
+    {
+        sim::Simulator &here = kernel.region(r);
+        logs[r].emplace_back(here.now(), tag);
+        if (hop < 2 && tag % 5 == 0) {
+            const unsigned dst = (r + 2) % kRegions;
+            kernel.crossSchedule(r, dst, here.now() + kLookahead + tag % 3,
+                                 [this, dst, tag, hop] {
+                                     land(dst, tag, hop + 1);
+                                 });
+        }
+        if (tag % 11 == 0) {
+            here.after(3, [this, r, tag] {
+                logs[r].emplace_back(kernel.region(r).now(), ~tag);
+            });
+        }
+    }
+};
+
+} // namespace
+
+/** Regions 0 and 1 on the caller's shard 0, regions 2 and 3 on two
+ *  workers. In the first window shard 0 both sends and receives more
+ *  cross events than a channel holds -- so the caller must keep
+ *  draining while it pushes and while it waits for the workers --
+ *  and every region's dispatch sequence still equals the serial
+ *  run's. Per-region sequences fix the canonical (tick, region, seq)
+ *  merge, so this is the whole dispatch order. */
+TEST(Sharded, CallerShardExchangesPastChannelCapacity)
+{
+    CrossFlood serial;
+    serial.kernel.run();
+
+    CrossFlood sharded;
+    sim::Kernel::ShardPlan plan;
+    plan.shards = 3;
+    plan.lookahead = kLookahead;
+    plan.shardOf = {0, 0, 1, 2};
+    sharded.kernel.runSharded(plan);
+
+    ASSERT_GT(serial.logs[0].size(), kBurst);
+    for (unsigned r = 0; r < kRegions; ++r)
+        EXPECT_EQ(serial.logs[r], sharded.logs[r]) << "region " << r;
+    EXPECT_EQ(serial.kernel.eventsExecuted(),
+              sharded.kernel.eventsExecuted());
+    EXPECT_GT(sharded.kernel.parallelWindows(), 0u);
+
+    // No gate, so every event ran inside a parallel window, and every
+    // event pushed into a channel came out of one.
+    const std::vector<sim::ShardStats> &st = sharded.kernel.shardStats();
+    ASSERT_EQ(st.size(), 3u);
+    std::uint64_t events = 0, sent = 0, received = 0;
+    for (const sim::ShardStats &s : st) {
+        events += s.events;
+        sent += s.crossSent;
+        received += s.crossReceived;
+    }
+    EXPECT_EQ(events, sharded.kernel.eventsExecuted());
+    EXPECT_EQ(sent, received);
+    EXPECT_GT(st[0].crossSent, sim::Kernel::kRingSlots);
+    EXPECT_GT(st[0].crossReceived, sim::Kernel::kRingSlots);
+}
+
+/** A rack on K server shards runs K + 1 shards: the ToR alone on the
+ *  caller's shard 0, which only sends (request deliveries) and never
+ *  receives; every worker shard dispatches server events. */
+TEST(Sharded, TorRunsAloneOnCallerShard)
+{
+    const RunResult serial =
+        runRackExperiment(shardConfig(Design::AcInt, 1), shardSpec());
+    EXPECT_TRUE(serial.shardStats.empty());
+    EXPECT_EQ(serial.hostPhases.windowsNs, 0u);
+
+    const RunResult res =
+        runRackExperiment(shardConfig(Design::AcInt, 2), shardSpec());
+    expectIdentical(serial, res, "shards=2 accounting");
+    ASSERT_EQ(res.shardStats.size(), 3u);
+    const sim::ShardStats &tor = res.shardStats[0];
+    EXPECT_GT(tor.events, 0u);
+    EXPECT_GT(tor.crossSent, 0u);
+    EXPECT_LE(tor.crossSent, res.torDispatched);
+    EXPECT_EQ(tor.crossReceived, 0u);
+    std::uint64_t delivered = 0;
+    for (unsigned k = 1; k < 3; ++k) {
+        EXPECT_GT(res.shardStats[k].events, 0u) << "shard " << k;
+        EXPECT_EQ(res.shardStats[k].crossSent, 0u) << "shard " << k;
+        delivered += res.shardStats[k].crossReceived;
+    }
+    EXPECT_EQ(delivered, tor.crossSent);
+    EXPECT_GT(res.hostPhases.windowsNs, 0u);
 }

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <vector>
+
 #include "common/rng.hh"
 #include "stats/histogram.hh"
 #include "stats/slo.hh"
@@ -63,6 +68,75 @@ TEST(SampleHistogram, RecordAfterQueryStillCorrect)
     h.record(5);
     EXPECT_EQ(h.percentile(0.01), 5u);
     EXPECT_EQ(h.max(), 10u);
+}
+
+namespace {
+
+/** Nearest-rank value of @p q over the ascending @p sorted. */
+Tick
+referenceRank(const std::vector<Tick> &sorted, double q)
+{
+    std::size_t rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    rank = std::max<std::size_t>(rank, 1);
+    return sorted[std::min(rank, sorted.size()) - 1];
+}
+
+} // namespace
+
+/** summary() selects its ranks instead of sorting; every field must
+ *  equal a sorted reference, at sizes around the p99.9 rank step and
+ *  with heavy duplicates, and the lazy-sort queries must still hold
+ *  after summary() permuted the samples. */
+TEST(SampleHistogram, SummarySelectionMatchesSortedReference)
+{
+    Rng rng(2024);
+    for (const std::size_t n : {0u, 1u, 2u, 999u, 1000u, 1001u}) {
+        for (const std::uint64_t spread : {3u, 1000000u}) {
+            SampleHistogram h;
+            std::vector<Tick> ref;
+            double sum = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                // A narrow spread puts most samples on a few values;
+                // the wide one adds a sparse tail, like latencies.
+                const Tick v = 100 + rng.below(spread) +
+                               (rng.below(100) == 0 ? 50000 : 0);
+                h.record(v);
+                ref.push_back(v);
+                sum += static_cast<double>(v);
+            }
+            std::sort(ref.begin(), ref.end());
+            const Summary s = h.summary();
+            char what[64];
+            std::snprintf(what, sizeof what, "n=%zu spread=%llu", n,
+                          static_cast<unsigned long long>(spread));
+            EXPECT_EQ(s.count, n) << what;
+            if (n == 0) {
+                EXPECT_EQ(s.p50, 0u);
+                EXPECT_EQ(s.p999, 0u);
+                EXPECT_EQ(s.max, 0u);
+                continue;
+            }
+            EXPECT_DOUBLE_EQ(s.mean, sum / static_cast<double>(n)) << what;
+            EXPECT_EQ(s.p50, referenceRank(ref, 0.50)) << what;
+            EXPECT_EQ(s.p90, referenceRank(ref, 0.90)) << what;
+            EXPECT_EQ(s.p99, referenceRank(ref, 0.99)) << what;
+            EXPECT_EQ(s.p999, referenceRank(ref, 0.999)) << what;
+            EXPECT_EQ(s.max, ref.back()) << what;
+
+            // Queries after summary() still see every sample.
+            EXPECT_EQ(h.percentile(0.25), referenceRank(ref, 0.25))
+                << what;
+            const Tick cut = ref[ref.size() / 2];
+            const auto above = static_cast<std::uint64_t>(
+                ref.end() - std::upper_bound(ref.begin(), ref.end(), cut));
+            EXPECT_EQ(h.countAbove(cut), above) << what;
+            // And a summary over the now-sorted store agrees.
+            const Summary again = h.summary();
+            EXPECT_EQ(again.p99, s.p99) << what;
+            EXPECT_EQ(again.max, s.max) << what;
+        }
+    }
 }
 
 TEST(SampleHistogram, ResetClears)
