@@ -16,7 +16,10 @@
  *
  * Where the wall clock went, averaged per run: build_ms, windows_ms
  * (parallel phase), serial_ms (the tail after it, or the whole run at
- * /1) and fold_ms (observation merge and summaries); and per shard k
+ * /1), fold_ms (the observation merge left after the run, and the
+ * summaries) and, on sharded rows, window_fold_ms (the merge the
+ * calling thread did inside the windows while it waited for the
+ * server shards; part of windows_ms, not of s0_wait_ms); and per shard k
  * of a sharded row -- shard 0 is the ToR on the calling thread,
  * shards 1..N the servers -- sK_busy_ms, sK_wait_ms, sK_settle_ms
  * (sim::ShardStats), sK_events, and sK_cross_sent / sK_cross_recv.
@@ -104,6 +107,7 @@ BM_MacroShard(benchmark::State &state)
             shards[k].busyNs += s.busyNs;
             shards[k].waitNs += s.waitNs;
             shards[k].settleNs += s.settleNs;
+            shards[k].idleWorkNs += s.idleWorkNs;
             shards[k].events += s.events;
             shards[k].crossSent += s.crossSent;
             shards[k].crossReceived += s.crossReceived;
@@ -120,6 +124,10 @@ BM_MacroShard(benchmark::State &state)
     perRun("windows_ms", static_cast<double>(phases.windowsNs) / kNsPerMs);
     perRun("serial_ms", static_cast<double>(phases.serialNs) / kNsPerMs);
     perRun("fold_ms", static_cast<double>(phases.foldNs) / kNsPerMs);
+    if (!shards.empty()) {
+        perRun("window_fold_ms",
+               static_cast<double>(shards[0].idleWorkNs) / kNsPerMs);
+    }
     for (std::size_t k = 0; k < shards.size(); ++k) {
         const sim::ShardStats &s = shards[k];
         auto perShard = [&perRun, k](const char *what, double total) {

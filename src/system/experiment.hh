@@ -290,7 +290,9 @@ struct RunResult
      * world (rack, generator, hooks), the sharded kernel's parallel
      * windows, the serial loop (the whole run when unsharded, the
      * tail after the parallel phase otherwise), and the post-run fold
-     * (observation merge and latency summaries). Execution statistics
+     * (the observation merge the windows left over -- see
+     * ShardStats::idleWorkNs for the part done inside them -- and
+     * the latency summaries). Execution statistics
      * like parallelWindows: they vary from run to run, never feed the
      * fingerprint and stay out of dumpStats. Zero on the classic
      * single-server path.

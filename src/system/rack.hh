@@ -151,14 +151,18 @@ class Rack
      * runs alone on shard 0, which the calling thread executes, and
      * server s on worker shard 1 + s*shards/servers -- @p shards
      * worker threads plus the caller. Windows are the rack link's
-     * minimum delivery time. @p gate as in sim::Kernel::runSharded --
-     * runRackExperiment passes "arrivals still pending", which
-     * provably confines the completion-count stop to the serial tail
-     * (DESIGN.md sec. 14). Exact same results as run(); callers
-     * should pass a @p shards value vetted by resolveShards().
+     * minimum delivery time. @p gate and @p idle as in
+     * sim::Kernel::runSharded -- runRackExperiment's gate hands the
+     * servers' observation logs over and answers "arrivals still
+     * pending", which provably confines the completion-count stop to
+     * the serial tail (DESIGN.md sec. 14), and its idle work folds
+     * the handed-over logs while the ToR's window is done and the
+     * servers' is not. Exact same results as run(); callers should
+     * pass a @p shards value vetted by resolveShards().
      */
     Tick runSharded(unsigned shards, Tick until = kTickInf,
-                    sim::Kernel::ParallelGate gate = {});
+                    sim::Kernel::ParallelGate gate = {},
+                    sim::Kernel::IdleWork idle = {});
 
     /** Pre-size every server's latency sample store (descriptor
      *  pools grow with the in-flight count; see Server::reserveFor). */

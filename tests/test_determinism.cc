@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.hh"
+#include "common/fingerprint.hh"
+#include "common/rng.hh"
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 
@@ -227,3 +229,47 @@ TEST(TraceDeterminism, TracingLeavesCompletionStreamUntouched)
 TEST(TraceDeterminism, DISABLED_TraceHooksCompiledOut) {}
 
 #endif // ALTOC_TRACE_ENABLED
+
+/** Fnv1a::mix folds a word's zero high bytes into one multiply; the
+ *  digest must equal the eight-step byte-wise FNV-1a on every word
+ *  width, 0 and ~0 included. */
+TEST(FingerprintDeterminism, MixMatchesByteWiseReference)
+{
+    // FNV-1a's 64-bit offset basis and prime.
+    struct Reference
+    {
+        std::uint64_t h = 14695981039346656037ull;
+
+        void
+        mix(std::uint64_t v)
+        {
+            for (int i = 0; i < 8; ++i) {
+                h ^= (v >> (8 * i)) & 0xffu;
+                h *= 1099511628211ull;
+            }
+        }
+    };
+    Reference ref;
+    Fnv1a fast;
+    auto both = [&](std::uint64_t v) {
+        ref.mix(v);
+        fast.mix(v);
+        ASSERT_EQ(fast.digest(), ref.h) << std::hex << v;
+    };
+    both(0);
+    both(~std::uint64_t{0});
+    both(0);
+    Rng rng(3);
+    for (int bytes = 1; bytes <= 8; ++bytes) {
+        const std::uint64_t top = std::uint64_t{1} << (8 * bytes - 1);
+        for (int i = 0; i < 200; ++i) {
+            // Exactly `bytes` significant bytes: the top one nonzero,
+            // zero bytes below it now and then.
+            std::uint64_t v = top | (rng.next() & (top - 1 + top));
+            if (i % 4 == 0)
+                v &= ~(std::uint64_t{0xff} << (8 * (i % bytes)));
+            v |= top;
+            both(v);
+        }
+    }
+}

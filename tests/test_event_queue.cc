@@ -27,6 +27,7 @@
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
 #include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -530,6 +531,30 @@ allocsForAcIntRun(std::uint64_t requests)
     return used;
 }
 
+std::size_t
+allocsForShardedRackRun(std::uint64_t requests)
+{
+    altoc::system::DesignConfig cfg;
+    cfg.design = altoc::system::Design::AcInt;
+    cfg.cores = 16;
+    cfg.groups = 2;
+    cfg.rack.servers = 2;
+    cfg.rack.policy = altoc::system::TorPolicy::RoundRobin;
+    cfg.shards = 2;
+    altoc::system::WorkloadSpec spec;
+    spec.service = altoc::workload::makeFixed(1 * kUs);
+    spec.rateMrps = 8.0;
+    spec.requests = requests;
+    spec.seed = 42;
+    const std::size_t before = g_allocs.load();
+    const altoc::system::RunResult res =
+        altoc::system::runRackExperiment(cfg, spec);
+    const std::size_t used = g_allocs.load() - before;
+    EXPECT_EQ(res.completed, requests);
+    EXPECT_GT(res.parallelWindows, 0u);
+    return used;
+}
+
 } // namespace
 #endif // !ALTOC_AUDIT_ENABLED
 
@@ -555,5 +580,25 @@ TEST(EventHotPath, CompletedRequestAllocationIsBounded)
         << "steady-state pipeline allocates per completed request ("
         << per_slice << " extra allocations across " << kN
         << " extra requests)";
+#endif
+}
+
+/** The same bound on a 2-server rack on two worker shards: window
+ *  traffic (cross-region deliveries through the channels, the
+ *  observation logs handed over at every boundary and folded inside
+ *  the windows) recycles its buffers instead of allocating per window
+ *  or per request. */
+TEST(ShardedHotPath, RackCompletedRequestAllocationIsBounded)
+{
+#if ALTOC_AUDIT_ENABLED
+    GTEST_SKIP() << "audit builds allocate in the invariant auditor";
+#else
+    constexpr std::uint64_t kN = 4000;
+    const std::size_t small = allocsForShardedRackRun(kN);
+    const std::size_t big = allocsForShardedRackRun(2 * kN);
+    const std::size_t per_slice = big > small ? big - small : 0;
+    EXPECT_LE(per_slice, kN / 20)
+        << "sharded rack allocates per completed request (" << per_slice
+        << " extra allocations across " << kN << " extra requests)";
 #endif
 }
