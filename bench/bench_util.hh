@@ -64,8 +64,8 @@ section(const char *title)
  *                  sweeps with many runs record in memory only.
  *   --rack N       replicate the per-server design N times behind a
  *                  ToR dispatcher (system/rack.hh). N=1 (the
- *                  default) is the classic single-server path,
- *                  bit-identical to builds without the flag.
+ *                  default) is a rack of one server, the
+ *                  single-server world bit for bit.
  *   --tor-policy P inter-server dispatch policy for --rack runs:
  *                  random, rr, p2c (power-of-2-choices, default),
  *                  or ll (least-loaded).

@@ -89,7 +89,7 @@ BM_MacroShard(benchmark::State &state)
     RunResult::HostPhases phases;
     std::vector<sim::ShardStats> shards;
     for (auto _ : state) {
-        const RunResult res = runRackExperiment(cfg, spec);
+        const RunResult res = runExperiment(cfg, spec);
         completed += res.completed;
         windows = res.parallelWindows;
         if (fingerprint != 0 && fingerprint != res.fingerprint) {

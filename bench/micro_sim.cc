@@ -3,6 +3,12 @@
  * google-benchmark micro benches for the simulation substrate and
  * the MICA data structures: event-queue throughput, NoC message
  * timing, descriptor pooling, histogram recording and KVS ops.
+ *
+ * Every row is baselined in BENCH_sim.json (5 repetitions), which
+ * the perf-smoke CI job compares warn-only through
+ * scripts/bench_compare.py. Regenerate with
+ *   ./build/bench/micro_sim --json=BENCH_sim.json \
+ *       --benchmark_repetitions=5
  */
 
 #include <benchmark/benchmark.h>

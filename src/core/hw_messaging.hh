@@ -72,6 +72,27 @@ struct MessagingStats
     /** MIGRATEs swallowed by a fail-stopped manager's receive path
      *  (no NACK; the source's ACK timeout is the failure signal). */
     std::uint64_t migratesToDead = 0;
+
+    /** Fold another fabric's counters in (rack-wide sums). */
+    MessagingStats &
+    operator+=(const MessagingStats &o)
+    {
+        static_assert(sizeof(MessagingStats) == 12 * sizeof(std::uint64_t),
+                      "a new MessagingStats field must be summed here");
+        migratesSent += o.migratesSent;
+        migratesAcked += o.migratesAcked;
+        migratesNacked += o.migratesNacked;
+        migratesTimedOut += o.migratesTimedOut;
+        staleMigratesDiscarded += o.staleMigratesDiscarded;
+        descriptorsSent += o.descriptorsSent;
+        descriptorsDelivered += o.descriptorsDelivered;
+        descriptorsReturned += o.descriptorsReturned;
+        updatesSent += o.updatesSent;
+        sendsRefused += o.sendsRefused;
+        bytesOnNoc += o.bytesOnNoc;
+        migratesToDead += o.migratesToDead;
+        return *this;
+    }
 };
 
 /**

@@ -81,11 +81,12 @@ class MicaHandler
     void resolve(net::Rpc &r, cpu::Core &core);
 
     /**
-     * Fill @p r with a sampled MICA request: kind, key id, home
-     * group and wire sizes. Nominal service demand is set so
-     * schedulers relying on it pre-resolution stay sane.
+     * Fill the wire-form request @p w with a sampled MICA request:
+     * kind, key id, home group and wire sizes. Nominal service
+     * demand is set so schedulers relying on it pre-resolution stay
+     * sane (injection copies it into the remaining demand).
      */
-    void sampleRequest(net::Rpc &r, Rng &rng);
+    void sampleRequest(net::WireRpc &w, Rng &rng);
 
     /** Mean nominal service time of the generated mix. */
     Tick meanServiceNs() const;

@@ -1,15 +1,13 @@
 /**
  * @file
- * Experiment driver implementation.
+ * Design table, server factories and the load generator. The driver
+ * itself, runExperiment, runs every experiment as a rack and lives in
+ * system/rack.cc.
  */
 
 #include "system/experiment.hh"
 
-#include <algorithm>
-
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "sim/fault_injector.hh"
 #include "sched/centralized.hh"
 #include "sched/dfcfs.hh"
 #include "sched/deadline_drop.hh"
@@ -210,7 +208,19 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
 // ---------------------------------------------------------------------
 
 LoadGenerator::LoadGenerator(Server &server, const WorkloadSpec &spec)
-    : server_(server), spec_(spec), rng_(server.forkRng(spec.seed))
+    : LoadGenerator(server.sim(), server, nullptr, spec)
+{
+}
+
+LoadGenerator::LoadGenerator(Rack &rack, const WorkloadSpec &spec)
+    : LoadGenerator(rack.sim(), rack.server(0), &rack, spec)
+{
+}
+
+LoadGenerator::LoadGenerator(sim::Simulator &sim, Server &server0,
+                             Rack *rack, const WorkloadSpec &spec)
+    : sim_(sim), server0_(server0), rack_(rack), spec_(spec),
+      rng_(server0.forkRng(spec.seed))
 {
     if (spec_.trace == nullptr) {
         altoc_assert(spec_.service != nullptr,
@@ -234,184 +244,68 @@ LoadGenerator::start()
         const auto &recs = spec_.trace->records();
         for (std::uint64_t i = 0; i < recs.size(); ++i) {
             const workload::TraceRecord &rec = recs[i];
-            server_.sim().at(rec.arrival, [this, i, &rec] {
-                net::Rpc *r = server_.makeRpc();
-                r->id = i;
-                r->service = rec.service;
-                r->remaining = rec.service;
-                r->kind = rec.kind;
-                r->conn = rec.conn;
-                r->sizeBytes = rec.sizeBytes;
-                r->key = rec.key;
-                r->homeGroup = rec.homeGroup;
-                if (decorate_)
-                    decorate_(*r, rng_);
-                ++injected_;
-                server_.inject(r);
+            sim_.at(rec.arrival, [this, i, &rec] {
+                const int s = place();
+                net::WireRpc w;
+                w.id = i;
+                w.service = rec.service;
+                w.kind = rec.kind;
+                w.conn = rec.conn;
+                w.sizeBytes = rec.sizeBytes;
+                w.key = rec.key;
+                w.homeGroup = rec.homeGroup;
+                send(s, w);
             });
         }
         return;
     }
     nextArrival_ = arrivals_->nextGap(rng_);
-    server_.sim().at(nextArrival_, [this] { injectNext(); });
+    sim_.at(nextArrival_, [this] { injectNext(); });
 }
 
 void
 LoadGenerator::injectNext()
 {
-    net::Rpc *r = server_.makeRpc();
-    r->id = injected_;
-    const workload::ServiceSample s = spec_.service->sample(rng_);
-    r->service = s.service;
-    r->remaining = s.service;
-    r->kind = s.kind;
-    r->conn = static_cast<std::uint32_t>(rng_.below(spec_.connections));
-    r->sizeBytes = spec_.requestBytes;
-    if (decorate_)
-        decorate_(*r, rng_);
-    ++injected_;
-    server_.inject(r);
+    const int s = place();
+    net::WireRpc w;
+    w.id = injected_;
+    // A request shed at the ToR draws none of the samples it would
+    // have carried.
+    if (s >= 0) {
+        const workload::ServiceSample smp = spec_.service->sample(rng_);
+        w.service = smp.service;
+        w.kind = smp.kind;
+        w.conn = static_cast<std::uint32_t>(rng_.below(spec_.connections));
+        w.sizeBytes = spec_.requestBytes;
+    }
+    send(s, w);
 
     if (injected_ < spec_.requests) {
         nextArrival_ += arrivals_->nextGap(rng_);
-        server_.sim().at(nextArrival_, [this] { injectNext(); });
+        sim_.at(nextArrival_, [this] { injectNext(); });
     }
 }
 
-// ---------------------------------------------------------------------
-// runExperiment
-// ---------------------------------------------------------------------
-
-RunResult
-runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
+int
+LoadGenerator::place()
 {
-    // Topology dispatch: a federated rack gets the two-layer driver.
-    // The classic path below stays byte-for-byte what it was -- the
-    // N=1 bit-identity contract in system/rack.hh leans on it.
-    if (cfg.rack.servers > 1)
-        return runRackExperiment(cfg, spec);
-    if (cfg.shards > 1) {
-        inform("sharding disabled: one server is one kernel region "
-               "(set --rack to get a shardable topology)");
+    return rack_ != nullptr ? rack_->pickServer() : 0;
+}
+
+void
+LoadGenerator::send(int s, net::WireRpc &w)
+{
+    ++injected_;
+    if (s < 0) {
+        rack_->shedAtTor(w.id);
+        return;
     }
-    if (spec.faults.maxScopedServer() > 0) {
-        fatal("fault spec scopes server %d but the run is "
-              "single-server (set --rack / DesignConfig::rack)",
-              spec.faults.maxScopedServer());
-    }
-
-    const double mean_service =
-        spec.trace ? spec.trace->meanService() : spec.service->mean();
-    const std::string dist_name =
-        spec.trace ? "Fixed" : spec.service->name();
-    const Tick slo =
-        spec.sloAbsolute
-            ? *spec.sloAbsolute
-            : static_cast<Tick>(spec.sloFactor * mean_service);
-    const std::uint64_t total =
-        spec.trace ? spec.trace->size() : spec.requests;
-    const std::uint64_t warmup = static_cast<std::uint64_t>(
-        spec.warmupFraction * static_cast<double>(total));
-
-    // forServer(0) folds S0-scoped entries into the plain schedule;
-    // it is the identity on an unscoped spec.
-    auto server = makeServer(cfg, static_cast<Tick>(mean_service),
-                             dist_name, slo, warmup, spec.seed,
-                             spec.faults.forServer(0),
-                             spec.logLatencyHistogram, spec.tracing);
-    // Pre-size the latency store so recording never reallocates (the
-    // descriptor pool grows with the in-flight count instead).
-    server->reserveFor(total);
-    server->stopAfterCompletions(total);
-
-    RunResult result;
-    if (spec.capturePerRequest) {
-        result.perRequest.reserve(total);
-        server->setCompletionHook(
-            [&result](const net::Rpc &r, Tick latency) {
-                result.perRequest.push_back(RequestOutcome{
-                    r.id, latency, r.migrated, r.predictedViolation});
-            });
-    }
-
-    // Completion-stream digest; the mixing scheme must match
-    // bench::RunFingerprint (see common/fingerprint.hh).
-    Fnv1a fp;
-    std::uint64_t fp_events = 0;
-    server->setCompletionProbe([&fp, &fp_events](const cpu::Core &core,
-                                                 const net::Rpc &r,
-                                                 Tick now) {
-        fp.mix(now);
-        fp.mix(static_cast<std::uint64_t>(r.kind));
-        fp.mix(core.id());
-        fp.mix(r.id);
-        ++fp_events;
-    });
-
-    // Satellite of the fingerprint scheme: injected fault events are
-    // part of the run's identity. Mixing them in makes two chaos runs
-    // comparable bit-for-bit (and a pristine run's digest untouched,
-    // since the hook only exists when an injector does).
-    if (sim::FaultInjector *fi = server->faultInjector()) {
-        fi->setEventHook([&fp, &fp_events](sim::FaultInjector::Kind kind,
-                                           Tick now, unsigned a,
-                                           unsigned b) {
-            fp.mix(now);
-            fp.mix(0xFA000000ull + static_cast<std::uint64_t>(kind));
-            fp.mix(a);
-            fp.mix(b);
-            ++fp_events;
-        });
-    }
-
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    const Tick end = server->run(spec.timeLimit);
-
-    result.design = server->scheduler().name();
-    result.offeredMrps =
-        spec.trace ? spec.trace->offeredRate() * 1e3 : spec.rateMrps;
-    result.achievedMrps =
-        end > 0 ? static_cast<double>(server->completed()) /
-                      static_cast<double>(end) * 1e3
-                : 0.0;
-    result.latency = server->tracker().summary();
-    result.sloTarget = slo;
-    result.violationRatio = server->tracker().violationRatio();
-    result.violations = server->tracker().violations();
-    result.completed = server->completed();
-    result.utilization = server->workerUtilization();
-    result.predictions = server->predictions();
-    result.dropped = server->dropped();
-    result.coresKilled = server->scheduler().coresDead();
-    result.requestsRescued = server->scheduler().requestsRescued();
-    result.managersFailedOver = server->scheduler().managersFailedOver();
-    result.requestsShed = server->requestsShed();
-    result.fingerprint = fp.digest();
-    result.fingerprintEvents = fp_events;
-    if (spec.dumpStats)
-        server->dumpStats();
-
-    if (auto *group = dynamic_cast<const core::GroupScheduler *>(
-            &server->scheduler())) {
-        result.migrated = group->requestsMigrated();
-        result.messaging = group->messagingStats();
-        result.migratesRetried = group->migratesRetried();
-        result.migratesTimedOut = group->migratesTimedOut();
-        result.peersQuarantined = group->peersQuarantined();
-        result.peersDeadDeclared = group->peersDeadDeclared();
-    }
-    if (const sim::FaultInjector *fi = server->faultInjector())
-        result.faultsInjected = fi->counters().total();
-    if (const trace::Tracer *tr = server->tracer()) {
-        result.traceRecords = tr->totalWritten();
-        result.traceDropped = tr->totalDropped();
-        if (!spec.tracing.file.empty()) {
-            altoc_assert(server->writeTrace(),
-                         "failed to write trace file");
-        }
-    }
-    return result;
+    if (decorate_)
+        decorate_(w, rng_);
+    if (rack_ != nullptr)
+        rack_->deliver(static_cast<unsigned>(s), w);
+    else
+        server0_.injectWire(w);
 }
 
 } // namespace altoc::system

@@ -92,11 +92,11 @@ struct DesignConfig
     bool singleCoherenceDomain = false;
 
     /**
-     * Rack topology (system/topology.hh). The default single-server
-     * shape keeps runExperiment on the classic path; rack.servers > 1
-     * federates `rack.servers` copies of the server shape above
-     * behind a ToR dispatcher (runExperiment then delegates to
-     * runRackExperiment in system/rack.hh).
+     * Rack topology (system/topology.hh). Every run is a rack
+     * (system/rack.hh): the default is a rack of one server, which is
+     * the single-server world; rack.servers > 1 federates
+     * `rack.servers` copies of the server shape above behind a ToR
+     * dispatcher.
      */
     RackConfig rack;
 
@@ -255,11 +255,11 @@ struct RunResult
     std::uint64_t traceRecords = 0;
     std::uint64_t traceDropped = 0;
 
-    /** Rack extras: servers in the topology (1 = classic world),
-     *  ToR dispatch decisions and ToR-level sheds (requests arriving
-     *  with every server dead). The headline counters above are
-     *  rack-wide sums on a federated run; perServer carries each
-     *  server's slice (empty on the classic path). */
+    /** Rack extras: servers in the topology, ToR dispatch decisions
+     *  and ToR-level sheds (requests arriving with every server
+     *  dead). The headline counters above are rack-wide sums;
+     *  perServer carries each server's slice (empty when servers ==
+     *  1). */
     unsigned rackServers = 1;
     std::uint64_t torDispatched = 0;
     std::uint64_t torShed = 0;
@@ -286,16 +286,15 @@ struct RunResult
     std::uint64_t parallelWindows = 0;
 
     /**
-     * Host wall time of a rack run's phases, in ns: building the
-     * world (rack, generator, hooks), the sharded kernel's parallel
+     * Host wall time of a run's phases, in ns: building the world
+     * (rack, generator, hooks), the sharded kernel's parallel
      * windows, the serial loop (the whole run when unsharded, the
      * tail after the parallel phase otherwise), and the post-run fold
      * (the observation merge the windows left over -- see
      * ShardStats::idleWorkNs for the part done inside them -- and
      * the latency summaries). Execution statistics
      * like parallelWindows: they vary from run to run, never feed the
-     * fingerprint and stay out of dumpStats. Zero on the classic
-     * single-server path.
+     * fingerprint and stay out of dumpStats.
      */
     struct HostPhases
     {
@@ -343,29 +342,51 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
            bool log_latency_histogram = false,
            const trace::TraceConfig &tracing = {});
 
+class Rack;
+
 /**
- * Open-loop load generator: injects sampled or trace-replayed
- * requests into a server.
+ * Open-loop load generator: fills a wire-form request per sampled or
+ * trace-replayed arrival and hands it to its target. A bare Server
+ * takes it straight in (Server::injectWire). A Rack first asks the
+ * ToR for a placement -- before any sample is drawn, so an arrival
+ * shed with every server dead (Rack::shedAtTor) leaves the RNG
+ * stream untouched -- and then delivers it (Rack::deliver). Both
+ * draw the same stream from server 0's RNG fork, so a rack of one
+ * server sees exactly the bare server's arrivals.
  */
 class LoadGenerator
 {
   public:
     /** Extra per-request setup (e.g. MICA key sampling). */
-    using Decorator = std::function<void(net::Rpc &, Rng &)>;
+    using Decorator = std::function<void(net::WireRpc &, Rng &)>;
 
     LoadGenerator(Server &server, const WorkloadSpec &spec);
+    LoadGenerator(Rack &rack, const WorkloadSpec &spec);
 
     void setDecorator(Decorator fn) { decorate_ = std::move(fn); }
 
     /** Schedule all arrivals (trace) or the first arrival (sampled). */
     void start();
 
+    /** Arrivals issued so far (shed at the ToR included). */
     std::uint64_t injected() const { return injected_; }
 
   private:
+    LoadGenerator(sim::Simulator &sim, Server &server0, Rack *rack,
+                  const WorkloadSpec &spec);
+
     void injectNext();
 
-    Server &server_;
+    /** Placement of the next arrival: -1 when the ToR sheds it. */
+    int place();
+
+    /** Issue @p w to server @p s (decorated first), or shed it at the
+     *  ToR when @p s < 0. */
+    void send(int s, net::WireRpc &w);
+
+    sim::Simulator &sim_;
+    Server &server0_;
+    Rack *rack_;
     const WorkloadSpec &spec_;
     Rng rng_;
     std::unique_ptr<workload::ArrivalProcess> arrivals_;
@@ -374,7 +395,14 @@ class LoadGenerator
     Tick nextArrival_ = 0;
 };
 
-/** Run one complete experiment and collect metrics. */
+/**
+ * Run one complete experiment and collect metrics: build the rack
+ * cfg.rack describes (one server by default), drive the workload
+ * through it, fold per-server and rack-wide metrics. cfg.shards > 1
+ * requests sharded execution, resolved against the topology
+ * (Rack::resolveShards); the RunResult is identical either way.
+ * Defined in system/rack.cc.
+ */
 RunResult runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec);
 
 } // namespace altoc::system

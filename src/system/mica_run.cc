@@ -81,8 +81,8 @@ runMicaExperiment(const MicaRunConfig &cfg)
     spec.connections = cfg.connections;
     spec.seed = cfg.seed;
     LoadGenerator gen(*server, spec);
-    gen.setDecorator([&handler](net::Rpc &r, Rng &rng) {
-        handler.sampleRequest(r, rng);
+    gen.setDecorator([&handler](net::WireRpc &w, Rng &rng) {
+        handler.sampleRequest(w, rng);
     });
     gen.start();
     const Tick end = server->run();

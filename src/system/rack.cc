@@ -1,7 +1,8 @@
 /**
  * @file
- * Rack federation implementation: construction, the ToR dispatcher,
- * the rack-side load generator and runRackExperiment.
+ * Rack federation implementation: construction, the ToR dispatcher
+ * and runExperiment, the one experiment driver (every run is a rack;
+ * a rack of one server is the single-server world).
  */
 
 #include "system/rack.hh"
@@ -55,17 +56,17 @@ namespace {
  *  stream (never drawn when servers == 1). */
 constexpr std::uint64_t kTorSeedSalt = 0x70f25eed;
 
-/** Per-server seed/identity fold; identity for server 0 so the N=1
- *  rack reproduces the classic world bit-for-bit. */
+/** Per-server seed/identity fold; identity for server 0 so a rack of
+ *  one reproduces the bare server's world bit-for-bit. */
 constexpr std::uint64_t
 serverSalt(unsigned server)
 {
     return server * 0x9e3779b97f4a7c15ull;
 }
 
-/** The (mean service, slo, total, warmup) every driver derives from a
- *  WorkloadSpec; shared by the ctor and runRackExperiment so the two
- *  can never disagree. */
+/** The (mean service, slo, total, warmup) the driver derives from a
+ *  WorkloadSpec; shared by the ctor and runExperiment so the two can
+ *  never disagree. */
 struct DerivedSpec
 {
     double meanService = 0.0;
@@ -121,7 +122,7 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     // decisions, link departures). Region indices are the canonical
     // tie-break order, so server events at a tick dispatch before
     // the ToR's. With one server the ToR shares region 0 and the
-    // kernel degenerates to the classic single-Simulator world.
+    // kernel degenerates to the single-Simulator world.
     servers_.reserve(rack_.servers);
     for (unsigned s = 0; s < rack_.servers; ++s) {
         sim::Simulator &region = kernel_.addRegion();
@@ -171,7 +172,7 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     // state is shard-confined by construction; the kernel folds
     // per-region violation counts together at window boundaries
     // (Kernel::reconcileAudit) and settle() panics per server. For
-    // one server this is exactly the classic wiring.
+    // one server this is exactly a bare server's wiring.
     for (auto &srv : servers_) {
         if (core::InvariantAuditor *a = srv->auditor())
             srv->sim().setAuditor(a);
@@ -256,7 +257,7 @@ void
 Rack::deliver(unsigned s, const net::WireRpc &w)
 {
     if (numServers() == 1) {
-        // The N=1 rack is the classic world: straight into the
+        // A rack of one is the bare server: straight into the
         // server, no ToR event, no link pacing, no trace record.
         servers_[0]->injectWire(w);
         return;
@@ -502,125 +503,74 @@ Rack::dumpStats(std::FILE *out) const
     std::fprintf(out, "---------- End Simulation Statistics ----------\n");
 }
 
-// ---------------------------------------------------------------------
-// Rack-side load generator
-// ---------------------------------------------------------------------
-
 namespace {
-
-/**
- * The open-loop generator of experiment.cc, retargeted at a rack:
- * every arrival asks the ToR for a placement, fills a wire-form
- * descriptor, and hands it to Rack::deliver (which materializes the
- * Rpc inside the receiving server's region -- pool operations never
- * cross a region boundary). Field-fill and RNG-draw order replicate
- * LoadGenerator exactly, so the N=1 rack consumes an identical
- * random stream and schedules an identical event sequence.
- */
-class RackLoadGenerator
-{
-  public:
-    RackLoadGenerator(Rack &rack, const WorkloadSpec &spec)
-        : rack_(rack), spec_(spec),
-          rng_(rack.server(0).forkRng(spec.seed))
-    {
-        if (spec_.trace == nullptr) {
-            altoc_assert(spec_.service != nullptr,
-                         "workload needs a service distribution or a "
-                         "trace");
-            const double rate = spec_.rateMrps * 1e-3; // requests/ns
-            if (spec_.realWorldArrivals) {
-                arrivals_ = workload::makeRealWorld(
-                    rate, static_cast<Tick>(spec_.service->mean()));
-            } else {
-                arrivals_ = workload::makePoisson(rate);
-            }
-        }
-    }
-
-    void
-    start()
-    {
-        if (spec_.trace != nullptr) {
-            const auto &recs = spec_.trace->records();
-            for (std::uint64_t i = 0; i < recs.size(); ++i) {
-                const workload::TraceRecord &rec = recs[i];
-                rack_.sim().at(rec.arrival, [this, i, &rec] {
-                    const int s = rack_.pickServer();
-                    ++injected_;
-                    if (s < 0) {
-                        rack_.shedAtTor(i);
-                        return;
-                    }
-                    net::WireRpc w;
-                    w.id = i;
-                    w.service = rec.service;
-                    w.kind = rec.kind;
-                    w.conn = rec.conn;
-                    w.sizeBytes = rec.sizeBytes;
-                    w.key = rec.key;
-                    w.homeGroup = rec.homeGroup;
-                    rack_.deliver(static_cast<unsigned>(s), w);
-                });
-            }
-            return;
-        }
-        nextArrival_ = arrivals_->nextGap(rng_);
-        rack_.sim().at(nextArrival_, [this] { injectNext(); });
-    }
-
-    std::uint64_t injected() const { return injected_; }
-
-  private:
-    void
-    injectNext()
-    {
-        const int s = rack_.pickServer();
-        if (s >= 0) {
-            net::WireRpc w;
-            w.id = injected_;
-            const workload::ServiceSample smp =
-                spec_.service->sample(rng_);
-            w.service = smp.service;
-            w.kind = smp.kind;
-            w.conn = static_cast<std::uint32_t>(
-                rng_.below(spec_.connections));
-            w.sizeBytes = spec_.requestBytes;
-            ++injected_;
-            rack_.deliver(static_cast<unsigned>(s), w);
-        } else {
-            // Every server is dead: shed at the ToR without drawing
-            // the workload samples the request would have carried.
-            rack_.shedAtTor(injected_);
-            ++injected_;
-        }
-
-        if (injected_ < spec_.requests) {
-            nextArrival_ += arrivals_->nextGap(rng_);
-            rack_.sim().at(nextArrival_, [this] { injectNext(); });
-        }
-    }
-
-    Rack &rack_;
-    const WorkloadSpec &spec_;
-    Rng rng_;
-    std::unique_ptr<workload::ArrivalProcess> arrivals_;
-    std::uint64_t injected_ = 0;
-    Tick nextArrival_ = 0;
-};
 
 /** Records folded per idle-work call: a few hundred ns of host time,
  *  so the calling thread notices the workers' window end promptly. */
 constexpr std::size_t kFoldChunk = 16;
 
+/**
+ * The run's digest (RunResult::fingerprint): every completion mixes
+ * (tick, request kind, core id, request id), every injected fault
+ * (tick, 0xFA000000 + fault kind, a, b) -- the scheme of
+ * bench::RunFingerprint (common/fingerprint.hh). Mixing faults makes
+ * two chaos runs comparable bit for bit and leaves a pristine run's
+ * digest untouched. A federation also mixes the server index (core
+ * ids are per-server); one server does not, so a rack of one keeps
+ * the single-server digest.
+ */
+class RunDigest
+{
+  public:
+    explicit RunDigest(bool mix_server) : mixServer_(mix_server) {}
+
+    void
+    completion(Tick now, std::uint64_t kind, std::uint64_t core,
+               std::uint64_t id, unsigned server)
+    {
+        fp_.mix(now);
+        fp_.mix(kind);
+        fp_.mix(core);
+        fp_.mix(id);
+        close(server);
+    }
+
+    void
+    fault(Tick now, std::uint64_t kind, std::uint64_t a, std::uint64_t b,
+          unsigned server)
+    {
+        fp_.mix(now);
+        fp_.mix(0xFA000000ull + kind);
+        fp_.mix(a);
+        fp_.mix(b);
+        close(server);
+    }
+
+    std::uint64_t digest() const { return fp_.digest(); }
+    std::uint64_t events() const { return events_; }
+
+  private:
+    void
+    close(unsigned server)
+    {
+        if (mixServer_)
+            fp_.mix(server);
+        ++events_;
+    }
+
+    Fnv1a fp_;
+    std::uint64_t events_ = 0;
+    bool mixServer_;
+};
+
 } // namespace
 
 // ---------------------------------------------------------------------
-// runRackExperiment
+// runExperiment
 // ---------------------------------------------------------------------
 
 RunResult
-runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
+runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
 {
     const std::uint64_t buildStart = hostNowNs();
     const DerivedSpec d = derive(spec);
@@ -632,100 +582,63 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
 
     RunResult result;
     result.rackServers = n;
-
-    // Rack-wide latency aggregation. The warmup gate counts
-    // completions rack-wide, so for n == 1 the sample stream matches
-    // the server's own tracker.
-    struct Agg
-    {
-        stats::SloTracker tracker;
-        std::uint64_t seen = 0;
-        std::uint64_t warmup = 0;
-        RunResult *result = nullptr;
-        bool capture = false;
-
-        Agg(Tick slo, bool log) : tracker(slo, log) {}
-
-        void
-        complete(std::uint64_t id, Tick latency, bool migrated,
-                 bool predicted)
-        {
-            if (++seen > warmup)
-                tracker.record(latency);
-            if (capture) {
-                result->perRequest.push_back(
-                    RequestOutcome{id, latency, migrated, predicted});
-            }
-        }
-    };
-    Agg agg(d.slo, spec.logLatencyHistogram);
-    agg.tracker.reserve(static_cast<std::size_t>(d.total));
-    agg.warmup = d.warmup;
-    agg.result = &result;
-    agg.capture = spec.capturePerRequest;
-    if (agg.capture)
+    if (spec.capturePerRequest)
         result.perRequest.reserve(d.total);
+    RunDigest digest(n > 1);
 
-    // Completion-stream digest, same scheme as runExperiment; a
-    // federation additionally mixes the server index (core ids are
-    // per-server).
-    struct Fp
-    {
-        Fnv1a fp;
-        std::uint64_t events = 0;
-    };
-    Fp fpc;
+    // Rack-wide latency. One server's own tracker is the run's: its
+    // warmup gate is the rack-wide one. A federation keeps one more
+    // tracker, gated on rack-wide completions in fold order.
+    std::unique_ptr<stats::SloTracker> rackTracker;
+    std::uint64_t seen = 0;
+    if (n > 1) {
+        rackTracker = std::make_unique<stats::SloTracker>(
+            d.slo, spec.logLatencyHistogram);
+        rackTracker->reserve(static_cast<std::size_t>(d.total));
+    }
+    const stats::SloTracker &tracker =
+        n > 1 ? *rackTracker : rack.server(0).tracker();
 
-    // Observation wiring. One server keeps the classic direct hooks
-    // -- aggregation happens inside the completion callbacks, in
-    // event order, exactly as runExperiment does (the bit-identity
-    // anchor). A federation instead appends to per-server logs
-    // (thread-confined under sharding) that ObsFold merges, partly
-    // inside the parallel windows and the rest after the run; both
-    // the serial and the sharded kernel produce the same logs, so
-    // every derived statistic agrees bit-for-bit.
-    ObsFold obs(n, [&fpc, &agg](const ObsRec &o, unsigned server) {
-        if (o.type == 0) {
-            fpc.fp.mix(o.now);
-            fpc.fp.mix(static_cast<std::uint64_t>(o.kind));
-            fpc.fp.mix(o.core);
-            fpc.fp.mix(o.id);
-            fpc.fp.mix(server);
-            ++fpc.events;
-            agg.complete(o.id, o.latency, o.migrated, o.predicted);
-        } else {
-            fpc.fp.mix(o.now);
-            fpc.fp.mix(0xFA000000ull + static_cast<std::uint64_t>(o.kind));
-            fpc.fp.mix(o.id);
-            fpc.fp.mix(o.aux);
-            fpc.fp.mix(server);
-            ++fpc.events;
+    // Observation wiring. One server feeds the digest and the
+    // per-request capture straight from its hooks, in event order. A
+    // federation instead appends to per-server logs (thread-confined
+    // under sharding) that ObsFold merges, partly inside the parallel
+    // windows and the rest after the run; both the serial and the
+    // sharded kernel produce the same logs, so every derived
+    // statistic agrees bit-for-bit.
+    ObsFold obs(n, [&](const ObsRec &o, unsigned server) {
+        if (o.type != 0) {
+            digest.fault(o.now, o.kind, o.id, o.aux, server);
+            return;
+        }
+        digest.completion(o.now, o.kind, o.core, o.id, server);
+        if (++seen > d.warmup)
+            rackTracker->record(o.latency);
+        if (spec.capturePerRequest) {
+            result.perRequest.push_back(
+                RequestOutcome{o.id, o.latency, o.migrated, o.predicted});
         }
     });
     if (n == 1) {
-        rack.server(0).setCompletionHook(
-            [&agg](const net::Rpc &r, Tick latency) {
-                agg.complete(r.id, latency, r.migrated,
-                             r.predictedViolation);
-            });
-        rack.server(0).setCompletionProbe(
-            [&fpc](const cpu::Core &core, const net::Rpc &r,
-                   Tick now) {
-                fpc.fp.mix(now);
-                fpc.fp.mix(static_cast<std::uint64_t>(r.kind));
-                fpc.fp.mix(core.id());
-                fpc.fp.mix(r.id);
-                ++fpc.events;
-            });
-        if (sim::FaultInjector *fi = rack.server(0).faultInjector()) {
-            fi->setEventHook([&fpc](sim::FaultInjector::Kind kind,
-                                    Tick now, unsigned a, unsigned b) {
-                fpc.fp.mix(now);
-                fpc.fp.mix(0xFA000000ull +
-                           static_cast<std::uint64_t>(kind));
-                fpc.fp.mix(a);
-                fpc.fp.mix(b);
-                ++fpc.events;
+        Server &srv = rack.server(0);
+        srv.setCompletionProbe([&digest](const cpu::Core &core,
+                                         const net::Rpc &r, Tick now) {
+            digest.completion(now, static_cast<std::uint64_t>(r.kind),
+                              core.id(), r.id, 0);
+        });
+        if (spec.capturePerRequest) {
+            srv.setCompletionHook(
+                [&result](const net::Rpc &r, Tick latency) {
+                    result.perRequest.push_back(RequestOutcome{
+                        r.id, latency, r.migrated,
+                        r.predictedViolation});
+                });
+        }
+        if (sim::FaultInjector *fi = srv.faultInjector()) {
+            fi->setEventHook([&digest](sim::FaultInjector::Kind kind,
+                                       Tick now, unsigned a, unsigned b) {
+                digest.fault(now, static_cast<std::uint64_t>(kind), a, b,
+                             0);
             });
         }
     } else {
@@ -768,7 +681,7 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
         }
     }
 
-    RackLoadGenerator gen(rack, spec);
+    LoadGenerator gen(rack, spec);
     const unsigned shards = rack.resolveShards(cfg.shards);
     gen.start();
     const std::uint64_t runStart = hostNowNs();
@@ -810,56 +723,39 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
         end > 0 ? static_cast<double>(rack.completedTotal()) /
                       static_cast<double>(end) * 1e3
                 : 0.0;
-    result.latency = agg.tracker.summary();
+    result.latency = tracker.summary();
     result.sloTarget = d.slo;
-    result.violationRatio = agg.tracker.violationRatio();
-    result.violations = agg.tracker.violations();
+    result.violationRatio = tracker.violationRatio();
+    result.violations = tracker.violations();
     result.completed = rack.completedTotal();
     result.utilization = rack.workerUtilization();
     result.requestsShed = rack.requestsShedTotal();
     result.torDispatched = rack.torDispatched();
     result.torShed = rack.torShed();
-    result.fingerprint = fpc.fp.digest();
-    result.fingerprintEvents = fpc.events;
+    result.fingerprint = digest.digest();
+    result.fingerprintEvents = digest.events();
     result.parallelWindows = rack.kernel().parallelWindows();
     result.shardStats = rack.kernel().shardStats();
 
+    if (n > 1)
+        result.perServer.reserve(n);
     for (unsigned s = 0; s < n; ++s) {
         const Server &srv = rack.server(s);
-        result.predictions.predicted += srv.predictions().predicted;
-        result.predictions.truePositives +=
-            srv.predictions().truePositives;
-        result.predictions.falsePositives +=
-            srv.predictions().falsePositives;
-        result.predictions.actualViolations +=
-            srv.predictions().actualViolations;
+        const sched::Scheduler &scheduler = srv.scheduler();
+        const auto *group =
+            dynamic_cast<const core::GroupScheduler *>(&scheduler);
+        result.predictions += srv.predictions();
         result.dropped += srv.dropped();
-        result.coresKilled += srv.scheduler().coresDead();
-        result.requestsRescued += srv.scheduler().requestsRescued();
-        result.managersFailedOver +=
-            srv.scheduler().managersFailedOver();
-        if (const auto *group =
-                dynamic_cast<const core::GroupScheduler *>(
-                    &srv.scheduler())) {
+        result.coresKilled += scheduler.coresDead();
+        result.requestsRescued += scheduler.requestsRescued();
+        result.managersFailedOver += scheduler.managersFailedOver();
+        if (group != nullptr) {
             result.migrated += group->requestsMigrated();
             result.migratesRetried += group->migratesRetried();
             result.migratesTimedOut += group->migratesTimedOut();
             result.peersQuarantined += group->peersQuarantined();
             result.peersDeadDeclared += group->peersDeadDeclared();
-            const core::MessagingStats &ms = group->messagingStats();
-            core::MessagingStats &agg_ms = result.messaging;
-            agg_ms.migratesSent += ms.migratesSent;
-            agg_ms.migratesAcked += ms.migratesAcked;
-            agg_ms.migratesNacked += ms.migratesNacked;
-            agg_ms.migratesTimedOut += ms.migratesTimedOut;
-            agg_ms.staleMigratesDiscarded += ms.staleMigratesDiscarded;
-            agg_ms.descriptorsSent += ms.descriptorsSent;
-            agg_ms.descriptorsDelivered += ms.descriptorsDelivered;
-            agg_ms.descriptorsReturned += ms.descriptorsReturned;
-            agg_ms.updatesSent += ms.updatesSent;
-            agg_ms.sendsRefused += ms.sendsRefused;
-            agg_ms.bytesOnNoc += ms.bytesOnNoc;
-            agg_ms.migratesToDead += ms.migratesToDead;
+            result.messaging += group->messagingStats();
         }
         if (const sim::FaultInjector *fi = srv.faultInjector())
             result.faultsInjected += fi->counters().total();
@@ -867,33 +763,24 @@ runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
             result.traceRecords += tr->totalWritten();
             result.traceDropped += tr->totalDropped();
         }
-    }
-    if (const trace::Tracer *tor = rack.torTracer()) {
-        result.traceRecords += tor->totalWritten();
-        result.traceDropped += tor->totalDropped();
-    }
-
-    if (n > 1) {
-        result.perServer.reserve(n);
-        for (unsigned s = 0; s < n; ++s) {
-            const Server &srv = rack.server(s);
+        if (n > 1) {
             PerServerResult ps;
             ps.completed = srv.completed();
             ps.dropped = srv.dropped();
             ps.requestsShed = srv.requestsShed();
-            ps.coresKilled = srv.scheduler().coresDead();
-            ps.requestsRescued = srv.scheduler().requestsRescued();
-            ps.managersFailedOver =
-                srv.scheduler().managersFailedOver();
+            ps.coresKilled = scheduler.coresDead();
+            ps.requestsRescued = scheduler.requestsRescued();
+            ps.managersFailedOver = scheduler.managersFailedOver();
             ps.latency = srv.tracker().summary();
             ps.utilization = srv.workerUtilization();
             ps.dead = rack.serverDead(s);
-            if (const auto *group =
-                    dynamic_cast<const core::GroupScheduler *>(
-                        &srv.scheduler()))
-                ps.migrated = group->requestsMigrated();
+            ps.migrated = group != nullptr ? group->requestsMigrated() : 0;
             result.perServer.push_back(ps);
         }
+    }
+    if (const trace::Tracer *tor = rack.torTracer()) {
+        result.traceRecords += tor->totalWritten();
+        result.traceDropped += tor->totalDropped();
     }
 
     RunResult::HostPhases &ph = result.hostPhases;

@@ -1,7 +1,9 @@
 /**
  * @file
  * Rack-scale federation: N servers behind a ToR dispatcher, one
- * multi-region event kernel.
+ * multi-region event kernel. Every experiment runs as a rack
+ * (runExperiment in system/experiment.hh); the default rack has one
+ * server.
  *
  * A Rack instantiates RackConfig::servers identical Servers, each in
  * its own region of a sim::Kernel (plus one region for the ToR when
@@ -31,10 +33,12 @@
  *
  * Determinism contract: with servers == 1 the Rack adds nothing to
  * the world -- no ToR RNG draw, no link event, no extra trace ring,
- * one kernel region whose run() delegates to the classic
- * Simulator::run -- so the (tick, seq) event stream, and therefore
- * every pre-rack golden, fingerprint and trace file, is reproduced
- * bit-for-bit. tests/test_rack.cc pins this.
+ * one kernel region whose run() delegates to the standalone
+ * Simulator::run -- so a rack of one is the single-server world of a
+ * bare makeServer Server: the (tick, seq) event stream, and
+ * therefore every golden, fingerprint and trace file, is the one
+ * that world produces. tests/test_rack.cc pins this against a table
+ * of every design's fingerprint and a trace-file digest.
  *
  * Fail-stop handling: a server whose last worker core dies is
  * declared dead (TraceKind::ServerDead) and the ToR stops steering to
@@ -69,8 +73,8 @@ class Rack
     /**
      * Build the rack described by @p cfg (server shape + cfg.rack
      * topology) for workload @p spec. Server 0 is constructed with
-     * exactly the configuration makeServer would produce, so an N=1
-     * rack is the classic single-server world. Panics when the fault
+     * exactly the configuration makeServer would produce, so a rack of
+     * one server is the single-server world. Panics when the fault
      * spec scopes past the topology.
      */
     Rack(const DesignConfig &cfg, const WorkloadSpec &spec);
@@ -85,7 +89,7 @@ class Rack
 
     /** The ToR's own kernel region (arrival events, dispatch
      *  decisions, link departures live here). With one server it is
-     *  that server's region -- the classic single-clock world. */
+     *  that server's region -- the single-clock world. */
     sim::Simulator &sim() { return *torSim_; }
 
     /** True when every region's queue drained. */
@@ -152,7 +156,7 @@ class Rack
      * server s on worker shard 1 + s*shards/servers -- @p shards
      * worker threads plus the caller. Windows are the rack link's
      * minimum delivery time. @p gate and @p idle as in
-     * sim::Kernel::runSharded -- runRackExperiment's gate hands the
+     * sim::Kernel::runSharded -- runExperiment's gate hands the
      * servers' observation logs over and answers "arrivals still
      * pending", which provably confines the completion-count stop to
      * the serial tail (DESIGN.md sec. 14), and its idle work folds
@@ -245,19 +249,6 @@ class Rack
     std::uint64_t torDispatched_ = 0;
     std::uint64_t torShed_ = 0;
 };
-
-/**
- * Rack counterpart of runExperiment: build a rack, drive the
- * workload through the ToR, aggregate per-server and rack-wide
- * metrics. runExperiment delegates here when cfg.rack.servers > 1;
- * calling it directly with servers == 1 must produce the same
- * RunResult (fingerprint included) as runExperiment -- the refactor's
- * bit-identity anchor, pinned by tests/test_rack.cc. cfg.shards > 1
- * requests sharded execution (resolved against the topology; the
- * RunResult is identical either way).
- */
-RunResult runRackExperiment(const DesignConfig &cfg,
-                            const WorkloadSpec &spec);
 
 } // namespace altoc::system
 

@@ -57,6 +57,19 @@ struct PredictionStats
                          static_cast<double>(actualViolations)
                    : 1.0;
     }
+
+    /** Fold another server's counts in (rack-wide sums). */
+    PredictionStats &
+    operator+=(const PredictionStats &o)
+    {
+        static_assert(sizeof(PredictionStats) == 4 * sizeof(std::uint64_t),
+                      "a new PredictionStats field must be summed here");
+        predicted += o.predicted;
+        truePositives += o.truePositives;
+        falsePositives += o.falsePositives;
+        actualViolations += o.actualViolations;
+        return *this;
+    }
 };
 
 /**
@@ -70,8 +83,8 @@ class Server : public sched::CompletionSink
         unsigned cores = 16;
         net::Nic::Config nic;
 
-        /** Position of this server in a rack topology (0 for the
-         *  classic single-server world). Only affects labeling (trace
+        /** Position of this server in a rack topology (0 for a
+         *  single server). Only affects labeling (trace
          *  ring attribution, stats prefixes); never the event
          *  stream. */
         unsigned serverId = 0;
@@ -354,7 +367,7 @@ class Server : public sched::CompletionSink
     std::uint64_t completed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
-    /** Rack-wide stop bound; unset in the classic world (stopAfter_
+    /** Rack-wide stop bound; unset on a bare Server (stopAfter_
      *  then bounds this server's own completions). */
     StopCheck sharedStop_;
     /** At least one core has fail-stopped; admission shedding is

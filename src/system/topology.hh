@@ -43,10 +43,10 @@ const char *torPolicyName(TorPolicy policy);
 TorPolicy torPolicyFromName(std::string_view name);
 
 /**
- * Shape of the rack. servers == 1 (the default) is the classic
- * single-server world: no ToR layer is instantiated, no extra RNG is
- * drawn and no extra events are scheduled, so every single-server
- * golden, fingerprint and trace stays bit-identical.
+ * Shape of the rack. servers == 1 (the default) is the single-server
+ * world: no ToR layer is instantiated, no extra RNG is drawn and no
+ * extra events are scheduled, so every single-server golden,
+ * fingerprint and trace is that of a bare Server.
  */
 struct RackConfig
 {

@@ -548,7 +548,7 @@ allocsForShardedRackRun(std::uint64_t requests)
     spec.seed = 42;
     const std::size_t before = g_allocs.load();
     const altoc::system::RunResult res =
-        altoc::system::runRackExperiment(cfg, spec);
+        altoc::system::runExperiment(cfg, spec);
     const std::size_t used = g_allocs.load() - before;
     EXPECT_EQ(res.completed, requests);
     EXPECT_GT(res.parallelWindows, 0u);

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+
 #include "core/hw_messaging.hh"
 #include "sim/simulator.hh"
 
@@ -487,4 +491,24 @@ TEST(HwMessaging, NackPreservesMigratedOnceState)
     EXPECT_EQ(h.msg->stats().migratesNacked, 1u);
     EXPECT_TRUE(probe->migrated);
     EXPECT_EQ(probe->curGroup, 1u);
+}
+
+/** operator+= sums every field. The struct is viewed as its words (its
+ *  size is static_asserted to be exactly its counters), each holding a
+ *  distinct value in both operands, so a field left unsummed shows. */
+TEST(MessagingStats, PlusEqualsSumsEveryField)
+{
+    using Words = std::array<std::uint64_t,
+                             sizeof(MessagingStats) / sizeof(std::uint64_t)>;
+    Words a{};
+    Words b{};
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = i + 1;
+        b[i] = 100 * (i + 1);
+    }
+    MessagingStats sum = std::bit_cast<MessagingStats>(a);
+    sum += std::bit_cast<MessagingStats>(b);
+    const Words got = std::bit_cast<Words>(sum);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], 101 * (i + 1)) << "field " << i;
 }

@@ -9,7 +9,7 @@
 
 #include <tuple>
 
-#include "core/mgk.hh"
+#include "tests/mgk.hh"
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 

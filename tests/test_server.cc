@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 
@@ -224,4 +228,24 @@ TEST(Server, NicConfigMatchesDesign)
     EXPECT_EQ(nicConfigFor(cfg).steering, net::Steering::Rss);
     cfg.steering = net::Steering::RoundRobin;
     EXPECT_EQ(nicConfigFor(cfg).steering, net::Steering::RoundRobin);
+}
+
+/** operator+= sums every field. The struct is viewed as its words (its
+ *  size is static_asserted to be exactly its counters), each holding a
+ *  distinct value in both operands, so a field left unsummed shows. */
+TEST(PredictionStats, PlusEqualsSumsEveryField)
+{
+    using Words = std::array<std::uint64_t,
+                             sizeof(PredictionStats) / sizeof(std::uint64_t)>;
+    Words a{};
+    Words b{};
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = i + 1;
+        b[i] = 100 * (i + 1);
+    }
+    PredictionStats sum = std::bit_cast<PredictionStats>(a);
+    sum += std::bit_cast<PredictionStats>(b);
+    const Words got = std::bit_cast<Words>(sum);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], 101 * (i + 1)) << "field " << i;
 }

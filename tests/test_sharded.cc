@@ -144,12 +144,12 @@ TEST(Sharded, FingerprintIdentityMatrix)
     const std::uint64_t seeds[] = {42, 7, 1234567};
     for (Design design : designs) {
         for (std::uint64_t seed : seeds) {
-            const RunResult serial = runRackExperiment(
+            const RunResult serial = runExperiment(
                 shardConfig(design, 1), shardSpec(seed));
             ASSERT_GT(serial.fingerprintEvents, 0u);
             EXPECT_EQ(serial.parallelWindows, 0u);
             for (unsigned shards : {2u, 8u}) {
-                const RunResult sharded = runRackExperiment(
+                const RunResult sharded = runExperiment(
                     shardConfig(design, shards), shardSpec(seed));
                 char what[64];
                 std::snprintf(what, sizeof what,
@@ -170,9 +170,9 @@ TEST(Sharded, FingerprintIdentityMatrix)
 TEST(Sharded, RepeatRunsAgree)
 {
     const RunResult a =
-        runRackExperiment(shardConfig(Design::AcInt, 4), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 4), shardSpec());
     const RunResult b =
-        runRackExperiment(shardConfig(Design::AcInt, 4), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 4), shardSpec());
     expectIdentical(a, b, "repeat shards=4");
     EXPECT_GT(a.parallelWindows, 0u);
 }
@@ -193,11 +193,11 @@ TEST(Sharded, TraceBytesIdentical)
     spec.tracing.ringSlots = 1u << 16; // lossless
     spec.tracing.file = serialPath;
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
 
     spec.tracing.file = shardedPath;
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 8), spec);
+        runExperiment(shardConfig(Design::AcInt, 8), spec);
 
     expectIdentical(serial, sharded, "traced");
     EXPECT_GT(sharded.parallelWindows, 0u);
@@ -225,10 +225,10 @@ TEST(Sharded, FaultDrawsAreShardInvariant)
         "drop=0.02,dup=0.02,delay=0.1:300,seed=9");
 
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     ASSERT_GT(serial.faultsInjected, 0u);
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 4), spec);
+        runExperiment(shardConfig(Design::AcInt, 4), spec);
     expectIdentical(serial, sharded, "chaos drop/dup/delay");
     EXPECT_GT(sharded.parallelWindows, 0u);
 }
@@ -243,9 +243,9 @@ TEST(Sharded, KillSpecCollapsesToSerial)
         sim::FaultSpec::parse("S2.kill=3@100000,drop=0.01,seed=5");
 
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 8), spec);
+        runExperiment(shardConfig(Design::AcInt, 8), spec);
     expectIdentical(serial, sharded, "chaos kill");
     EXPECT_EQ(sharded.parallelWindows, 0u);
 }
@@ -261,9 +261,9 @@ TEST(Sharded, OraclePoliciesStaySerial)
 {
     for (TorPolicy policy :
          {TorPolicy::PowerOfK, TorPolicy::LeastLoaded}) {
-        const RunResult serial = runRackExperiment(
+        const RunResult serial = runExperiment(
             shardConfig(Design::AcInt, 1, policy), shardSpec());
-        const RunResult sharded = runRackExperiment(
+        const RunResult sharded = runExperiment(
             shardConfig(Design::AcInt, 8, policy), shardSpec());
         expectIdentical(serial, sharded, torPolicyName(policy));
         EXPECT_EQ(sharded.parallelWindows, 0u)
@@ -271,16 +271,16 @@ TEST(Sharded, OraclePoliciesStaySerial)
     }
 }
 
-/** An N=1 "rack" is one region; shards resolve to 1 and the classic
- *  world is untouched. */
+/** An N=1 "rack" is one region; shards resolve to 1 and the
+ *  single-server world is untouched. */
 TEST(Sharded, SingleServerStaysSerial)
 {
     DesignConfig cfg = shardConfig(Design::AcInt, 8);
     cfg.rack.servers = 1;
-    DesignConfig classic = cfg;
-    classic.shards = 1;
-    const RunResult a = runRackExperiment(classic, shardSpec());
-    const RunResult b = runRackExperiment(cfg, shardSpec());
+    DesignConfig serial = cfg;
+    serial.shards = 1;
+    const RunResult a = runExperiment(serial, shardSpec());
+    const RunResult b = runExperiment(cfg, shardSpec());
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.fingerprintEvents, b.fingerprintEvents);
     EXPECT_EQ(b.parallelWindows, 0u);
@@ -459,12 +459,12 @@ TEST(Sharded, IdleWorkKeepsCallerDrainingPastChannelCapacity)
 TEST(Sharded, TorRunsAloneOnCallerShard)
 {
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 1), shardSpec());
     EXPECT_TRUE(serial.shardStats.empty());
     EXPECT_EQ(serial.hostPhases.windowsNs, 0u);
 
     const RunResult res =
-        runRackExperiment(shardConfig(Design::AcInt, 2), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 2), shardSpec());
     expectIdentical(serial, res, "shards=2 accounting");
     ASSERT_EQ(res.shardStats.size(), 3u);
     const sim::ShardStats &tor = res.shardStats[0];
@@ -623,11 +623,11 @@ TEST(Sharded, InWindowFoldMatchesSerialCapture)
     WorkloadSpec spec = shardSpec();
     spec.capturePerRequest = true;
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     ASSERT_EQ(serial.perRequest.size(), spec.requests);
     for (unsigned shards : {2u, 4u}) {
         const RunResult sharded =
-            runRackExperiment(shardConfig(Design::AcInt, shards), spec);
+            runExperiment(shardConfig(Design::AcInt, shards), spec);
         EXPECT_GT(sharded.parallelWindows, 0u);
         expectSameObservations(serial, sharded,
                                "shards=" + std::to_string(shards));
@@ -644,12 +644,12 @@ TEST(Sharded, TimeLimitLeavesLogsForPostRunFold)
     spec.capturePerRequest = true;
     spec.timeLimit = 200 * kUs; // arrivals span ~500 us at 8 MRPS
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     ASSERT_GT(serial.completed, 0u);
     ASSERT_LT(serial.completed, spec.requests);
     for (unsigned shards : {2u, 4u}) {
         const RunResult sharded =
-            runRackExperiment(shardConfig(Design::AcInt, shards), spec);
+            runExperiment(shardConfig(Design::AcInt, shards), spec);
         EXPECT_GT(sharded.parallelWindows, 0u);
         expectSameObservations(serial, sharded,
                                "time-limited shards=" +
@@ -671,11 +671,11 @@ TEST(Sharded, StretchFaultsPastBoundaryFoldInSerialOrder)
         sim::FaultSpec::parse("straggle=0.2:3,freeze=0.1:500,seed=3");
     for (Design design : {Design::Shinjuku, Design::Rss}) {
         const RunResult serial =
-            runRackExperiment(shardConfig(design, 1), spec);
+            runExperiment(shardConfig(design, 1), spec);
         ASSERT_GT(serial.faultsInjected, 0u) << designName(design);
         for (unsigned shards : {2u, 4u}) {
             const RunResult sharded =
-                runRackExperiment(shardConfig(design, shards), spec);
+                runExperiment(shardConfig(design, shards), spec);
             EXPECT_GT(sharded.parallelWindows, 0u) << designName(design);
             expectSameObservations(serial, sharded,
                                    std::string(designName(design)) +
