@@ -172,7 +172,7 @@ parseArgs(int argc, char **argv)
  * The micro benches' `--json` shorthand, expanded into google
  * -benchmark's native flags before benchmark::Initialize() parses
  * them. This is the interface of the perf-regression harness
- * (scripts/bench_compare.py, BENCH_kernel.json):
+ * (scripts/bench_compare.py, BENCH_*.json):
  *
  *   --json        emit the JSON report on stdout
  *                 (--benchmark_format=json)

@@ -11,9 +11,7 @@
  * push through its own hot loop per wall-clock second.
  *
  * The checked-in baseline is BENCH_macro.json (compared by
- * scripts/bench_compare.py, same workflow as BENCH_kernel.json);
- * BENCH_macro_prerefactor.json preserves the pre-overhaul numbers.
- * Run with --json=FILE to regenerate.
+ * scripts/bench_compare.py). Run with --json=FILE to regenerate.
  *
  * The workload is the Fig. 10 figure-scale mix — Bimodal(0.5%,
  * 0.5us, 50us) on 16 cores at 10 MRPS (~47% load) — stable for

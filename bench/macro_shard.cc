@@ -1,7 +1,7 @@
 /**
  * @file
  * Sharded-kernel macro bench: one large-topology run, serial vs
- * parallel windows.
+ * sharded.
  *
  * BM_MacroShard/N runs a single 256-core federation -- 4 AC_int
  * servers x 64 cores behind a round-robin ToR (the load-oblivious
@@ -11,18 +11,20 @@
  * counter pins that inside the bench itself); the rows differ only in
  * wall clock, so the /1 vs /4 ratio *is* the sharded executor's
  * speedup on one topology too big for a single core's event loop. On
- * a ci-constrained single-core runner the windows still execute
- * (parallel_windows counter > 0) but yield their speedup back.
+ * a ci-constrained single-core runner the parallel phase still runs
+ * (parallel_windows counter > 0) but yields its speedup back.
  *
  * Where the wall clock went, averaged per run: build_ms, windows_ms
  * (parallel phase), serial_ms (the tail after it, or the whole run at
  * /1), fold_ms (the observation merge left after the run, and the
  * summaries) and, on sharded rows, window_fold_ms (the merge the
- * calling thread did inside the windows while it waited for the
- * server shards; part of windows_ms, not of s0_wait_ms); and per shard k
- * of a sharded row -- shard 0 is the ToR on the calling thread,
- * shards 1..N the servers -- sK_busy_ms, sK_wait_ms, sK_settle_ms
- * (sim::ShardStats), sK_events, and sK_cross_sent / sK_cross_recv.
+ * calling thread did inside the parallel phase while it had nothing
+ * to dispatch or claim; part of windows_ms, not of s0_wait_ms); and
+ * per thread k of a sharded row -- thread 0 is the calling thread,
+ * which runs the ToR, threads 1..N the workers -- sK_busy_ms,
+ * sK_wait_ms (sim::ShardStats), sK_events, sK_claims / sK_steals
+ * (regions claimed; claims of a region homed elsewhere), and
+ * sK_cross_sent / sK_cross_recv.
  *
  * The checked-in baseline is BENCH_shard.json (compared warn-only by
  * scripts/bench_compare.py in the perf-smoke job). Regenerate with
@@ -106,7 +108,8 @@ BM_MacroShard(benchmark::State &state)
             const sim::ShardStats &s = res.shardStats[k];
             shards[k].busyNs += s.busyNs;
             shards[k].waitNs += s.waitNs;
-            shards[k].settleNs += s.settleNs;
+            shards[k].claims += s.claims;
+            shards[k].steals += s.steals;
             shards[k].idleWorkNs += s.idleWorkNs;
             shards[k].events += s.events;
             shards[k].crossSent += s.crossSent;
@@ -137,8 +140,9 @@ BM_MacroShard(benchmark::State &state)
         };
         perShard("busy_ms", static_cast<double>(s.busyNs) / kNsPerMs);
         perShard("wait_ms", static_cast<double>(s.waitNs) / kNsPerMs);
-        perShard("settle_ms", static_cast<double>(s.settleNs) / kNsPerMs);
         perShard("events", static_cast<double>(s.events));
+        perShard("claims", static_cast<double>(s.claims));
+        perShard("steals", static_cast<double>(s.steals));
         perShard("cross_sent", static_cast<double>(s.crossSent));
         perShard("cross_recv", static_cast<double>(s.crossReceived));
     }

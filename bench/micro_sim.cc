@@ -22,8 +22,8 @@
 
 using namespace altoc;
 
-// The BM_Event* group is the checked-in kernel baseline
-// (BENCH_kernel.json, compared by scripts/bench_compare.py). The
+// The BM_Event* group is part of the checked-in baseline
+// (BENCH_sim.json, compared by scripts/bench_compare.py). The
 // steady-state schedule/dispatch path performs zero heap allocations
 // by construction -- InlineFn callbacks live in the slot pool, whose
 // storage is fixed once warm (enforced by

@@ -8,13 +8,13 @@ Usage:
     scripts/bench_compare.py --self-test
 
 Inputs are google-benchmark JSON reports given as baseline/current
-*pairs*, e.g. the checked-in kernel and macro baselines against fresh
-runs, compared in one invocation with one merged delta table:
+*pairs*, e.g. the checked-in substrate and macro baselines against
+fresh runs, compared in one invocation with one merged delta table:
 
-    ./build/bench/micro_sim --json=kernel.json --benchmark_filter=BM_Event
+    ./build/bench/micro_sim --json=sim.json --benchmark_repetitions=5
     ./build/bench/macro_pipeline --json=macro.json
     python3 scripts/bench_compare.py \
-        BENCH_kernel.json kernel.json BENCH_macro.json macro.json
+        BENCH_sim.json sim.json BENCH_macro.json macro.json
 
 Benchmarks are matched by name within their pair. The primary metric
 is items_per_second (higher is better); benchmarks that do not report
@@ -23,6 +23,14 @@ it fall back to real_time (lower is better). A report recorded with
 those is compared (or the "median" aggregate, when only aggregates
 were reported). Entries present in only one report of a pair are
 listed but never fail the comparison.
+
+Noise band. A baseline recorded with repetitions also gives the
+metric's coefficient of variation (stdev / mean over the
+repetitions, or its "cv" aggregate). A timing delta is flagged --
+"REGRESSION" or "improved" -- only when it exceeds both --threshold
+and the noise band, NOISE_CVS coefficients of variation; inside the
+band it reads "noise". A single-repetition baseline has no band, so
+only --threshold applies.
 
 Every perf run is also a correctness run. A benchmark that reports a
 `fingerprint` counter (the low 32 bits of its simulation run's
@@ -52,6 +60,9 @@ import statistics
 import sys
 import tempfile
 
+# Width of the noise band, in baseline coefficients of variation.
+NOISE_CVS = 2.0
+
 
 def load_report(path):
     """Return {name: Entry} for one report."""
@@ -68,7 +79,7 @@ def load_report(path):
     if not isinstance(benches, list) or not benches:
         print(f"error: {path} contains no benchmarks", file=sys.stderr)
         raise SystemExit(2)
-    runs, medians = {}, {}
+    runs, medians, cvs = {}, {}, {}
     for bench in benches:
         name = bench.get("run_name") or bench.get("name")
         if not name:
@@ -76,13 +87,15 @@ def load_report(path):
         if bench.get("run_type") == "aggregate":
             if bench.get("aggregate_name") == "median":
                 medians[name] = bench
+            elif bench.get("aggregate_name") == "cv":
+                cvs[name] = bench
             continue
         runs.setdefault(name, []).append(bench)
     for name, bench in medians.items():
         runs.setdefault(name, [bench])
     out = {}
     for name, group in runs.items():
-        entry = make_entry(group)
+        entry = make_entry(group, cvs.get(name))
         if entry is not None:
             out[name] = entry
     if not out:
@@ -94,14 +107,15 @@ def load_report(path):
 class Entry:
     """One benchmark of one report, folded over its repetitions."""
 
-    def __init__(self, value, higher, fingerprints, error):
+    def __init__(self, value, higher, fingerprints, error, cv=0.0):
         self.value = value            # median metric over repetitions
         self.higher = higher          # True: higher is better
         self.fingerprints = fingerprints  # set of ints, empty if none
         self.error = error            # error message, or None
+        self.cv = cv                  # coefficient of variation, 0 if unknown
 
 
-def make_entry(group):
+def make_entry(group, cv_aggregate=None):
     """Fold the repetitions of one benchmark into an Entry."""
     error = next((b.get("error_message") or "error" for b in group
                   if b.get("error_occurred")), None)
@@ -115,8 +129,14 @@ def make_entry(group):
         key, higher = "real_time", False
     else:
         return None
-    value = statistics.median(float(b[key]) for b in group)
-    return Entry(value, higher, fingerprints, error)
+    values = [float(b[key]) for b in group]
+    cv = 0.0
+    if len(values) >= 2 and statistics.mean(values) > 0:
+        cv = statistics.stdev(values) / statistics.mean(values)
+    elif cv_aggregate is not None and key in cv_aggregate:
+        cv = abs(float(cv_aggregate[key]))
+    return Entry(statistics.median(values), higher, fingerprints, error,
+                 cv)
 
 
 def fmt(value):
@@ -194,7 +214,10 @@ def compare(base, cur, threshold):
         # Normalize so positive delta always means "got faster".
         delta = (cval / bval - 1.0) if b_higher else (bval / cval - 1.0)
         pct = delta * 100.0
-        if pct <= -threshold:
+        band = NOISE_CVS * base[name].cv * 100.0
+        if abs(pct) <= band:
+            verdict = "noise"
+        elif pct <= -threshold:
             verdict = "REGRESSION"
             regressions.append((name, pct))
         elif pct >= threshold:
@@ -378,6 +401,33 @@ def self_test():
               "a benchmark that reported an error exits 3")
         check(load_report(fp_reps)["BM_MacroRss"].value == 10.0,
               "repetitions fold to their median, aggregates ignored")
+
+        # Noise band: baseline repetitions 90/100/110 give cv 0.1, so
+        # the band is 20 %.
+        noisy_base = _write(tmp, "nb.json", _report([
+            {"name": "BM_Noisy", "run_name": "BM_Noisy",
+             "run_type": "iteration", "items_per_second": v}
+            for v in (90.0, 100.0, 110.0)]))
+        in_band = _write(tmp, "ni.json", _report([
+            {"name": "BM_Noisy", "items_per_second": 85.0}]))
+        out_band = _write(tmp, "no.json", _report([
+            {"name": "BM_Noisy", "items_per_second": 70.0}]))
+        single_base = _write(tmp, "n1.json", _report([
+            {"name": "BM_Noisy", "items_per_second": 100.0}]))
+        check(abs(load_report(noisy_base)["BM_Noisy"].cv - 0.1) < 1e-12,
+              "repetitions give the baseline's coefficient of variation")
+        check(_exit_code([noisy_base, in_band,
+                          "--fail-on-regression"]) == 0,
+              "a delta inside the noise band is not a regression")
+        check(_exit_code([noisy_base, out_band,
+                          "--fail-on-regression"]) == 1,
+              "a delta outside the noise band is a regression")
+        check(_exit_code([single_base, in_band,
+                          "--fail-on-regression"]) == 1,
+              "a single-repetition baseline has no band")
+        base, cur = merge_pairs([noisy_base, in_band])
+        check(compare(base, cur, 10.0) == [],
+              "in-band delta reported as noise, not flagged")
 
         base, cur = merge_pairs([kern_base, kern_fast,
                                  kern_base, kern_slow])

@@ -32,15 +32,17 @@
  * whether the event traveled through a direct insert (serial, or
  * same shard) or an SPSC channel (parallel).
  *
- * Sharded execution (runSharded) partitions regions across shards
- * -- shard 0 runs on the calling thread, every other shard on a
- * worker thread of its own -- and advances them in
- * barrier-synchronized windows of width equal to the lookahead:
- * every cross-region event sent inside a window lands at least one
- * full window later, so a shard can dispatch its whole window --
- * one region after another -- without observing its peers. See
- * DESIGN.md section 14 for the window protocol and the determinism
- * argument.
+ * Sharded execution (runSharded) is conservative PDES on a star: one
+ * *hub* region (a rack's ToR) is the only region that sends
+ * cross-region events, and it runs on the calling thread, which
+ * publishes a monotone hub clock -- "the hub dispatched everything
+ * below tick t". Every other region may then dispatch below
+ * t + lookahead without waiting for anyone else: no window, no
+ * barrier. Those regions are claimable work with a home thread; the
+ * plan's worker threads and the caller (whenever the hub is a capped
+ * lead ahead of the slowest region) advance a claimed region one
+ * lookahead stretch at a time. See DESIGN.md section 14 for the
+ * protocol and the determinism argument.
  */
 
 #ifndef ALTOC_SIM_KERNEL_HH
@@ -55,7 +57,6 @@
 #include "common/annotations.hh"
 #include "common/inline_fn.hh"
 #include "common/logging.hh"
-#include "common/mutex.hh"
 #include "common/units.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
@@ -64,32 +65,34 @@
 namespace altoc::sim {
 
 /**
- * Host-time accounting of one shard over a sharded run's parallel
- * phase. Timings are taken per window, never per event. Purely an
- * execution statistic: it varies from run to run and never feeds
- * simulated state, fingerprints or stats dumps.
+ * Host-time accounting of one thread over a sharded run's parallel
+ * phase (index 0 is the calling thread). Timings are taken per
+ * stretch, never per event. Purely an execution statistic: it varies
+ * from run to run and never feeds simulated state, fingerprints or
+ * stats dumps.
  */
 struct ShardStats
 {
-    /** Dispatching this shard's events, in-window channel sweeps
-     *  included. */
+    /** Dispatching events: the hub's on the calling thread, claimed
+     *  regions' stretches (ring drains included) on every thread. */
     std::uint64_t busyNs = 0;
-    /** Blocked at the window barriers: waiting for the peers to
-     *  finish dispatching (sweeping our channels meanwhile) and, on
-     *  a worker, for the next window to open. */
+    /** Spinning or napping with nothing to dispatch: waiting on the
+     *  hub clock (draining the held region's ring meanwhile), or, on
+     *  the calling thread, for the slowest region to come within the
+     *  hub's lead cap. */
     std::uint64_t waitNs = 0;
-    /** The settle phase: the final channel sweep once every shard
-     *  finished dispatching, up to the window's closing barrier. */
-    std::uint64_t settleNs = 0;
-    /** Shard 0 only: running runSharded's idle work while it waits
-     *  for the workers to finish dispatching (excluded from waitNs). */
+    /** Calling thread only: running runSharded's idle work while it
+     *  waits (excluded from waitNs). */
     std::uint64_t idleWorkNs = 0;
-    /** Events dispatched inside parallel windows. */
+    /** Events dispatched inside the parallel phase. */
     std::uint64_t events = 0;
-    /** Cross-region events pushed into / popped from the channels
-     *  between this shard and the others. */
+    /** Cross-region events pushed into / popped from region rings. */
     std::uint64_t crossSent = 0;
     std::uint64_t crossReceived = 0;
+    /** Regions claimed; steals counts the claims of a region homed on
+     *  another thread (the claims that migrate a working set). */
+    std::uint64_t claims = 0;
+    std::uint64_t steals = 0;
 };
 
 /**
@@ -131,10 +134,10 @@ class Kernel
     /** Events executed across all regions. */
     std::uint64_t eventsExecuted() const;
 
-    /** Stop before the next dispatch. Safe from any shard thread;
-     *  under sharded execution it takes effect at the next window
-     *  boundary (callers gate parallelism so it can only fire in the
-     *  serial phase -- see setParallelGate). */
+    /** Stop before the next dispatch. Safe from any thread; under
+     *  sharded execution it ends the parallel phase at the hub's next
+     *  clock step (callers gate parallelism so it can only fire in
+     *  the serial phase -- see ParallelGate). */
     void
     requestStop()
     {
@@ -158,15 +161,16 @@ class Kernel
             kCrossSeqBase |
             (static_cast<std::uint64_t>(src) << kCrossRegionShift) |
             crossCtr_[src]++;
-        if (!parallelActive_ || shardOf_[src] == shardOf_[dst]) {
+        if (!parallelActive_) {
             region(dst).events_.scheduleAtSeq(when, seq,
                                               std::forward<F>(cb));
             if (dst < front_.size() && when < front_[dst])
                 front_[dst] = when;
             return;
         }
-        crossPush(shardOf_[src], shardOf_[dst],
-                  CrossEvent{when, seq, dst,
+        altoc_assert(src == hub_ && dst != hub_,
+                     "sharded runs carry only hub -> region events");
+        crossPush(CrossEvent{when, seq, dst,
                              EventQueue::Callback(std::forward<F>(cb))});
     }
 
@@ -180,67 +184,85 @@ class Kernel
     Tick run(Tick until = kTickInf);
 
     /**
-     * How regions map onto shards for runSharded. Shard 0 runs on the
-     * thread that calls runSharded; shards 1..shards-1 each get a
-     * worker thread. A plan therefore uses shards - 1 extra threads.
+     * How runSharded executes the regions. The hub runs on the thread
+     * that calls runSharded; threads 1..threads-1 are workers. A plan
+     * therefore uses threads - 1 extra threads.
      */
     struct ShardPlan
     {
-        /** Shard count, the caller's shard 0 included (>= 2 to
+        /** Thread count, the calling thread included (>= 2 to
          *  actually parallelize). */
-        unsigned shards = 1;
+        unsigned threads = 1;
 
         /** Conservative lookahead: the minimum delay of any
-         *  cross-region event, in ns. Window width. */
+         *  cross-region event, in ns. */
         Tick lookahead = 1;
 
-        /** Region index -> shard index (values < shards). */
-        std::vector<unsigned> shardOf;
+        /** The one region that sends cross-region events (a rack's
+         *  ToR); it runs on the calling thread. */
+        unsigned hub = 0;
+
+        /** Region -> home thread (values < threads; the hub's entry is
+         *  ignored). A thread keeps a home region claimed while it
+         *  has work and borrows other regions one stretch at a time
+         *  only when its own are blocked on the hub clock. */
+        std::vector<unsigned> home;
     };
 
     /**
-     * Re-evaluated at every window boundary: return false to fall
-     * back to the serial loop for the rest of the run. Callers use
-     * it to keep the run's stopping condition exact -- e.g. a rack
-     * stays parallel only while the workload still has arrivals to
-     * inject, which provably keeps the completion-count stop from
-     * firing inside a window (DESIGN.md section 14). The argument
-     * is the next window's start: the earliest pending event, so
-     * every event still to run has a tick at or above it.
+     * Evaluated by the hub before each step of its clock: return
+     * false to end the parallel phase, leaving the rest of the run to
+     * the serial loop. Callers use it to keep the run's stopping
+     * condition exact -- e.g. a rack stays parallel only while the
+     * workload still has arrivals to inject, which provably keeps the
+     * completion-count stop from firing in the parallel phase
+     * (DESIGN.md section 14). It runs on the calling thread.
      */
-    using ParallelGate = InlineFunction<bool(Tick)>;
+    using ParallelGate = InlineFunction<bool()>;
 
     /**
-     * Work the calling thread does while it waits for the workers to
-     * finish a window's dispatch: each call performs one small chunk
-     * (it must return within about a microsecond, so the window
-     * barrier is never held up) and returns true while more remains.
-     * It runs only between the caller's own dispatch and the end of
-     * the window, so it may touch only state the calling thread owns
-     * -- state the gate can hand over at the boundary, where every
-     * worker is parked. Never called once the parallel phase ended.
+     * Work the calling thread does in the parallel phase: in chunks
+     * while it waits -- for the slowest region to come within the
+     * hub's lead cap with nothing to claim, or for the regions to
+     * drain after the hub finished -- and once per lookahead step of
+     * the hub clock until it reports nothing left (at most 64
+     * chunks), so the work cannot pile up while the caller is busy. Each call performs one
+     * small chunk (it must return within about a microsecond) and
+     * returns true while more remains. It may touch
+     * only state the calling thread owns or receives through its own
+     * synchronization. Never called once the parallel phase ended.
      */
     using IdleWork = InlineFunction<bool()>;
 
     /**
-     * Sharded run: conservative windows of @p plan.lookahead ns while
-     * the gate holds -- the calling thread executes shard 0 and
-     * plan.shards - 1 workers execute the rest -- then the serial
-     * canonical loop for the tail. Inside each window the calling
-     * thread, once done with its own regions, runs @p idle in chunks
-     * until it reports no more work or the workers finish, sweeping
-     * its incoming channels between chunks. Produces the exact event
-     * order of run() -- same goldens, fingerprints, trace bytes.
+     * Called by the thread holding region @p region after each
+     * stretch, with the region's clock @p done: every event below it
+     * has been dispatched, and every later event of the region has a
+     * tick at or above it. Never called for the hub.
+     */
+    using StretchHook = InlineFunction<void(unsigned region, Tick done)>;
+
+    /**
+     * Sharded run: the parallel phase while the gate holds, then the
+     * serial canonical loop for the tail. The calling thread runs the
+     * hub and, when the hub is a lead cap ahead, claimed regions;
+     * plan.threads - 1 workers run claimed regions. Produces the
+     * exact event order of run() -- same goldens, fingerprints,
+     * trace bytes.
      */
     Tick runSharded(const ShardPlan &plan, Tick until = kTickInf,
-                    ParallelGate gate = {}, IdleWork idle = {});
+                    ParallelGate gate = {}, IdleWork idle = {},
+                    StretchHook stretch = {});
 
-    /** Parallel windows executed by the last runSharded (tests and
-     *  benches assert the parallel path actually ran). */
+    /** Lookahead steps of simulated time the hub's clock covered in
+     *  the last runSharded's parallel phase: the distinct values of
+     *  tick / lookahead over the hub events it dispatched there. A
+     *  function of the hub's event stream, so it repeats exactly
+     *  across runs and thread counts (0 when the run was serial). */
     std::uint64_t parallelWindows() const { return windows_; }
 
-    /** Per-shard accounting of the last runSharded's parallel phase,
-     *  shard 0 first; empty when it ran serially. */
+    /** Per-thread accounting of the last runSharded's parallel phase,
+     *  the calling thread first; empty when it ran serially. */
     const std::vector<ShardStats> &shardStats() const
     {
         return shardStats_;
@@ -250,12 +272,12 @@ class Kernel
      *  (0 when it ran serially). */
     std::uint64_t windowsNs() const { return windowsNs_; }
 
-    /** True while parallel windows run: every shard thread sees it
-     *  set for the whole parallel phase (it is written only before
-     *  the workers start and after they joined). */
+    /** True during the parallel phase: every thread sees it set for
+     *  the whole phase (it is written only before the workers start
+     *  and after they joined). */
     bool parallelPhase() const { return parallelActive_; }
 
-    /** Capacity of each inter-shard channel. */
+    /** Capacity of each region's inbound ring. */
     static constexpr std::size_t kRingSlots = 1024;
 
   private:
@@ -272,53 +294,112 @@ class Kernel
      *  region index sits above them (see event_queue.hh). */
     static constexpr unsigned kCrossRegionShift = 40;
 
-    /** Incoming-channel sweep period during a shard's window. */
+    /** Ring drain period inside a stretch, in dispatches. */
     static constexpr unsigned kDrainStride = 256;
 
-    /** Dispatch the head event of region @p r (audit hook + clock
-     *  update + callback). Caller guarantees the queue is compacted
-     *  and non-empty. */
-    void dispatchOne(unsigned r);
+    /** No thread holds the region. */
+    static constexpr unsigned kFree = ~0u;
+
+    /** A non-hub region's claim state, clocks and inbound ring, alone
+     *  on its cache line(s). */
+    struct alignas(64) RegionSlot
+    {
+        /** Thread holding the claim, or kFree. Claiming is an acquire
+         *  CAS and releasing a release store, so whatever the last
+         *  holder did to the region -- its queue, its ring's consumer
+         *  side, its simulated state -- is visible to the next. */
+        std::atomic<unsigned> holder{kFree};
+        /** The region's earliest pending tick at its holder's last
+         *  update (ring contents not yet drained excepted). */
+        std::atomic<Tick> next{kTickInf};
+        /** Every event below it dispatched; monotone. */
+        std::atomic<Tick> done{0};
+        unsigned home = 0;
+        std::unique_ptr<SpscRing<CrossEvent>> ring;
+    };
 
     /** Serial (tick, region, seq) merge loop; does not reset the
      *  stop flag (run() and runSharded() own that). */
     Tick runMergeLoop(Tick until);
 
-    /** The window-parallel phase of runSharded; the calling thread
-     *  executes shard 0 and runs @p idle while it waits. */
-    void runWindows(const ShardPlan &plan, Tick until,
-                    ParallelGate &gate, IdleWork &idle);
+    /** The parallel phase of runSharded, on the calling thread. */
+    void runParallel(const ShardPlan &plan, ParallelGate &gate,
+                     IdleWork &idle);
 
-    /** Worker body of shard @p self (>= 1). */
-    void workerLoop(unsigned self, const std::vector<unsigned> &owned);
+    /** Worker body of thread @p self (>= 1). */
+    void workerLoop(unsigned self);
 
-    /** Dispatch shard @p self's @p owned regions' events with tick <
-     *  @p winEnd, one region at a time -- each region's window runs
-     *  to completion in its own (tick, seq) order before the next
-     *  region starts -- sweeping the incoming channels every
-     *  kDrainStride dispatches. Exact because regions cannot
-     *  interact inside a window: every cross-region event lands at
-     *  or after @p winEnd. Keeps one region's working set hot
-     *  instead of alternating between them event by event. */
-    void dispatchWindow(unsigned self, const std::vector<unsigned> &owned,
-                        Tick winEnd);
+    /** The hub's loop on the calling thread: step the hub clock,
+     *  dispatch hub events, help while capped. Returns when the gate
+     *  closed, a stop or audit violation was seen, or the hub had
+     *  nothing left and every region drained to the run bound. */
+    void runHub(ParallelGate &gate, IdleWork &idle);
 
-    /** Insert every event queued toward shard @p self. Only shard
-     *  self's thread may call this (SPSC consumer side). */
-    void drainRings(unsigned self);
+    /** The calling thread's help while the hub waits: claim a region
+     *  with work, run one stretch of it and release it. False when
+     *  there was nothing to claim. */
+    bool helpOnce();
 
-    /** Blocking channel send with deadlock-free backpressure: while
-     *  the ring is full, drain our own incoming rings. */
-    void crossPush(unsigned srcShard, unsigned dstShard, CrossEvent ev);
+    /** True when no region is claimed or has anything left below the
+     *  run bound (only meaningful once the hub is done). */
+    bool allDrained() const;
 
-    /** Fold the audit-violation delta of @p owned regions into the
-     *  kernel-wide window summary (audit builds; called by each
-     *  shard at the end of its window). */
-    void reconcileAudit(const std::vector<unsigned> &owned)
-        ALTOC_EXCLUDES(auditMu_);
+    /** One scheduling step of worker @p self holding @p held (kFree
+     *  for none): advance the held region a stretch, or claim one
+     *  with work. Returns the region now held and sets @p worked when
+     *  it dispatched or claimed anything. */
+    unsigned spokeStep(unsigned self, unsigned held, bool &worked);
 
-    /** Window-boundary check of the reconciled audit state. */
-    bool auditClean() ALTOC_EXCLUDES(auditMu_);
+    /** Claim the region with work that @p self should run next: an
+     *  unclaimed home region first, else the furthest-behind
+     *  unclaimed one. Returns kFree when there is none. */
+    unsigned claimNext(unsigned self, Tick horizon);
+
+    /** Region @p slot may have events below @p horizon (its last
+     *  published next tick, or anything in its ring). */
+    static bool hasWork(const RegionSlot &slot, Tick horizon);
+
+    /** A region homed on @p self is unclaimed and has work. */
+    bool homeWaiting(unsigned self, Tick horizon) const;
+
+    bool tryClaim(unsigned r, unsigned self);
+    void release(unsigned r);
+
+    /** Horizon for the non-hub regions: everything below it is safe
+     *  to dispatch given the published hub clock. */
+    Tick horizon() const;
+
+    /** Held region @p r, by thread @p self: drain its ring, then run
+     *  one stretch -- its events below min(horizon, next + lookahead)
+     *  -- if it has any below @p horizon (true), else just publish its
+     *  clocks (false: blocked on the hub clock). */
+    bool advance(unsigned r, unsigned self, Tick horizon);
+
+    /** Dispatch region @p r's events below @p end, draining its ring
+     *  every kDrainStride dispatches, then publishClocks. */
+    void stretch(unsigned r, unsigned self, Tick end, Tick horizon);
+
+    /** Holder side: store region @p r's next tick and done clock
+     *  (calling the stretch hook when it advanced) and fold its audit
+     *  delta. */
+    void publishClocks(unsigned r, Tick horizon);
+
+    /** Insert every event in region @p r's ring into its queue and
+     *  refresh slot.next. Only the holder (or, after the workers
+     *  joined, the calling thread) may call it. */
+    void drainRing(unsigned r, unsigned self);
+
+    /** Hub-side send: push into the destination region's ring; while
+     *  it is full, drain it ourselves if we can claim the region, or
+     *  wait for its holder (holders always drain, see DESIGN.md). */
+    void crossPush(CrossEvent ev);
+
+    /** Smallest done clock over the non-hub regions. */
+    Tick slowestDone() const;
+
+    /** Fold region @p r's audit-violation delta into the kernel-wide
+     *  count (audit builds; called by its holder after a stretch). */
+    void reconcileAudit(unsigned r);
 
     std::vector<std::unique_ptr<Simulator>> regions_;
     /** Per-region cross-schedule counters (owned by the region's
@@ -329,42 +410,48 @@ class Kernel
 
     // ----- sharded-execution state -----------------------------------
 
-    /** Region -> shard map of the active plan. */
-    std::vector<unsigned> shardOf_;
-    /** Shard-pair SPSC channels, rings_[src * shards_ + dst]; null
-     *  on the diagonal (a shard inserts its own events directly). */
-    std::vector<std::unique_ptr<SpscRing<CrossEvent>>> rings_;
-    unsigned shards_ = 1;
-    /** True only while worker threads exist (set before spawn, /
+    unsigned hub_ = 0;
+    Tick lookahead_ = 1;
+    /** The hub may dispatch at tick T only while T < slowestDone() +
+     *  leadCap_ (two lookaheads): it keeps the server heaps and rings
+     *  shallow and hands the caller spare time to claim regions. */
+    Tick leadCap_ = 1;
+    /** The plan has more threads than the host has cores. */
+    bool oversubscribed_ = false;
+    /** Exclusive run bound: until + 1, or kTickInf. */
+    Tick end_ = kTickInf;
+    std::vector<RegionSlot> slots_;
+    /** Non-hub region indices. */
+    std::vector<unsigned> spokes_;
+    StretchHook stretchHook_;
+    /** True only while worker threads exist (set before spawn,
      *  cleared after join, so workers never observe it changing). */
     bool parallelActive_ = false;
 
     std::atomic<bool> stopFlag_{false};
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<std::uint64_t> drainSeq_{0};
-    std::atomic<unsigned> doneDispatch_{0};
-    std::atomic<unsigned> doneDrain_{0};
-    std::atomic<bool> exit_{false};
-    std::atomic<Tick> winEnd_{0};
+    /** Published hub clock: the hub dispatched everything below it
+     *  (kTickInf once it has nothing left below the run bound). */
+    alignas(64) std::atomic<Tick> hubClock_{0};
+    /** Set by the calling thread to end the parallel phase. */
+    std::atomic<bool> closed_{false};
     std::uint64_t windows_ = 0;
 
-    /** One shard's accounting, alone on its cache line: written only
-     *  by that shard's thread while the windows run. */
-    struct alignas(64) ShardSlot
+    /** One thread's accounting, alone on its cache line: written only
+     *  by that thread while the parallel phase runs. */
+    struct alignas(64) ThreadSlot
     {
         ShardStats stats;
     };
-    std::vector<ShardSlot> slots_;
+    std::vector<ThreadSlot> threadSlots_;
     std::vector<ShardStats> shardStats_;
     std::uint64_t windowsNs_ = 0;
 
-    /** Audit fan-in seam: shards reconcile their regions' violation
-     *  counts here at window boundaries; the calling thread ends the
-     *  parallel phase as soon as any window saw a violation. */
-    Mutex auditMu_;
-    std::uint64_t auditViolations_ ALTOC_GUARDED_BY(auditMu_) = 0;
-    /** Violation count already reconciled, per region (each region
-     *  is read by exactly one shard thread). */
+    /** Audit fan-in: holders add their regions' violation deltas; the
+     *  hub ends the parallel phase at its next clock step once any
+     *  stretch saw a violation. */
+    std::atomic<std::uint64_t> auditViolations_{0};
+    /** Violation count already reconciled, per region (read by the
+     *  region's holder only). */
     std::vector<std::uint64_t> auditSeen_;
 };
 

@@ -114,7 +114,7 @@ class Simulator
     /** Request that the run loop stop before dispatching the next
      *  event. For a kernel region this reaches the kernel-wide flag
      *  (thread-safe; honored at the merge loop's next dispatch, or a
-     *  sharded run's next window boundary). */
+     *  sharded run's next hub clock step). */
     void
     requestStop()
     {

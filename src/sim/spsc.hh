@@ -3,8 +3,10 @@
  * Fixed-capacity single-producer/single-consumer ring for the sharded
  * kernel's cross-region channels.
  *
- * One SpscRing connects exactly one producing shard thread to one
- * consuming shard thread. The producer owns tail_, the consumer owns
+ * One SpscRing connects exactly one producing thread to one consuming
+ * thread at a time (a region's ring: the hub's thread to whichever
+ * thread holds the region's claim, which hands the consumer side on
+ * with release/acquire order). The producer owns tail_, the consumer owns
  * head_; each publishes its index with release order and reads the
  * other's with acquire order, so a popped element's payload (an
  * InlineFn closure plus its sort key) is fully visible to the
@@ -13,10 +15,10 @@
  * cross-shard path inside the kernel's alloc-free discipline.
  *
  * tryPush/tryPop never block: a full ring returns false and the
- * kernel's shard loop drains its own incoming rings while re-trying,
- * which is what makes the window protocol deadlock-free (a shard
- * blocked on a full outgoing ring is always simultaneously emptying
- * the rings others may be blocked on).
+ * kernel's hub retries while the region's holder drains it (holders
+ * drain while they dispatch and while they wait), or drains it itself
+ * when it can claim the region -- which is what makes the sharded
+ * kernel deadlock-free.
  */
 
 #ifndef ALTOC_SIM_SPSC_HH
@@ -69,7 +71,8 @@ class SpscRing
         return true;
     }
 
-    /** Consumer-side emptiness probe (racy for anyone else). */
+    /** Emptiness probe: exact for the consumer, a racy hint for
+     *  anyone else (it only reads the two atomic indices). */
     bool
     empty() const
     {

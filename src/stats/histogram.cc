@@ -30,6 +30,26 @@ nearestRank(double q, std::size_t n)
     return std::clamp<std::size_t>(rank, 1, n);
 }
 
+/** Bits below a sample's leading one that summary() buckets by. */
+constexpr unsigned kSummaryBits = 10;
+constexpr std::size_t kSummaryBuckets = std::size_t{64 - kSummaryBits + 1}
+                                        << kSummaryBits;
+/** Buckets below this hold exactly one value: the bucket index. */
+constexpr std::size_t kExactBuckets = std::size_t{1} << kSummaryBits;
+
+/** Order-preserving bucket of @p v: exact below 2^kSummaryBits, else
+ *  its power-of-two range and the next kSummaryBits bits. */
+inline std::size_t
+summaryBucket(Tick v)
+{
+    if (v < (Tick{1} << kSummaryBits))
+        return static_cast<std::size_t>(v);
+    const unsigned range = 63 - std::countl_zero(v) - kSummaryBits + 1;
+    return (static_cast<std::size_t>(range) << kSummaryBits) +
+           static_cast<std::size_t>((v >> range) &
+                                    ((Tick{1} << kSummaryBits) - 1));
+}
+
 } // namespace
 
 void
@@ -90,26 +110,79 @@ SampleHistogram::summary() const
     s.mean = mean();
     if (samples_.empty())
         return s;
-    // Select instead of sort: place each nearest rank in ascending
-    // order, each nth_element over the remainder the previous one
-    // left, then take the max from the last partition. Same values as
-    // percentile()/max(), linear time instead of a full sort.
     const std::size_t n = samples_.size();
     const std::pair<double, Tick *> ranks[] = {
         {0.50, &s.p50}, {0.90, &s.p90}, {0.99, &s.p99}, {0.999, &s.p999}};
-    auto rest = samples_.begin();
-    for (const auto &[q, out] : ranks) {
-        const auto nth = samples_.begin() + (nearestRank(q, n) - 1);
-        // An equal rank was already placed by the previous round.
-        if (!sorted_ && nth >= rest) {
-            std::nth_element(rest, nth, samples_.end());
+    if (sorted_) {
+        for (const auto &[q, out] : ranks)
+            *out = samples_[nearestRank(q, n) - 1];
+        s.max = samples_.back();
+        return s;
+    }
+    // Pass 1: count the samples per bucket and take the max.
+    std::vector<std::uint32_t> counts(kSummaryBuckets, 0);
+    Tick top = 0;
+    for (const Tick v : samples_) {
+        ++counts[summaryBucket(v)];
+        top = std::max(top, v);
+    }
+    // The bucket holding each nearest rank, and the rank's position
+    // among that bucket's samples. A bucket below kExactBuckets holds
+    // a single value: the bucket's index.
+    std::size_t bucket[4];
+    std::size_t offset[4];
+    std::size_t below = 0;
+    std::size_t b = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t rank = nearestRank(ranks[i].first, n);
+        while (below + counts[b] < rank)
+            below += counts[b++];
+        bucket[i] = b;
+        offset[i] = rank - below - 1;
+    }
+    // Pass 2, only for ranks in wider buckets: gather those buckets'
+    // samples, which -- the buckets being order-preserving -- sort as
+    // one run (at[i] is rank i's position in it), then place each
+    // rank in ascending order, each nth_element over the remainder the
+    // previous one left.
+    std::size_t at[4];
+    std::size_t gathered = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        if (bucket[i] < kExactBuckets)
+            continue;
+        if (i == 0 || bucket[i] != bucket[i - 1])
+            gathered += counts[bucket[i]];
+        at[i] = gathered - counts[bucket[i]] + offset[i];
+    }
+    std::vector<Tick> run;
+    if (gathered > 0) {
+        run.reserve(gathered);
+        std::fill(counts.begin(), counts.end(), 0);
+        for (std::size_t i = 0; i < 4; ++i) {
+            if (bucket[i] >= kExactBuckets)
+                counts[bucket[i]] = 1;
+        }
+        for (const Tick v : samples_) {
+            if (counts[summaryBucket(v)] != 0)
+                run.push_back(v);
+        }
+    }
+    auto rest = run.begin();
+    for (std::size_t i = 0; i < 4; ++i) {
+        Tick &out = *ranks[i].second;
+        if (bucket[i] < kExactBuckets) {
+            out = static_cast<Tick>(bucket[i]);
+            continue;
+        }
+        const auto nth = run.begin() + static_cast<std::ptrdiff_t>(at[i]);
+        // An equal position was already placed by the previous round.
+        if (nth >= rest) {
+            std::nth_element(rest, nth, run.end());
             rest = nth + 1;
         }
-        *out = *nth;
+        out = *nth;
     }
-    s.max = sorted_ || rest == samples_.end()
-                ? samples_.back()
-                : *std::max_element(rest, samples_.end());
+    s.max = top;
     return s;
 }
 

@@ -68,15 +68,18 @@ class SampleHistogram
     double fractionAbove(Tick target) const;
 
     /** Count, mean, the p50/p90/p99/p99.9 nearest ranks and the max
-     *  -- the values percentile() and max() return -- found by
-     *  selection (linear time) rather than a sort. */
+     *  -- the values percentile() and max() return -- in linear time
+     *  without reordering the samples: one pass counts them per bucket
+     *  of their high bits (one value per bucket below 1024), a second
+     *  gathers only the wider buckets holding a rank, and selection
+     *  runs inside those. */
     Summary summary() const;
 
     /** Drop all samples. */
     void reset();
 
     /** Read-only access to the raw samples (recording order not
-     *  guaranteed once a percentile query or summary() has run). */
+     *  guaranteed once a percentile query has run). */
     const std::vector<Tick> &samples() const { return samples_; }
 
   private:

@@ -278,21 +278,22 @@ struct RunResult
     /** Completions mixed into the fingerprint. */
     std::uint64_t fingerprintEvents = 0;
 
-    /** Conservative windows the sharded kernel executed in parallel
-     *  (0 on the serial path). Purely an execution statistic -- every
-     *  other field of this struct is independent of it -- but tests
-     *  and benches assert it to prove the parallel path actually ran
+    /** Lookahead steps of simulated time the ToR clock covered in the
+     *  sharded kernel's parallel phase (sim::Kernel::parallelWindows;
+     *  0 on the serial path). A function of the ToR's event stream,
+     *  so it repeats exactly across runs and shard counts; tests and
+     *  benches assert it to prove the parallel path actually ran
      *  rather than silently collapsing to serial. */
     std::uint64_t parallelWindows = 0;
 
     /**
      * Host wall time of a run's phases, in ns: building the world
      * (rack, generator, hooks), the sharded kernel's parallel
-     * windows, the serial loop (the whole run when unsharded, the
-     * tail after the parallel phase otherwise), and the post-run fold
-     * (the observation merge the windows left over -- see
-     * ShardStats::idleWorkNs for the part done inside them -- and
-     * the latency summaries). Execution statistics
+     * phase, the serial loop (the whole run when unsharded, the tail
+     * after the parallel phase otherwise), and the post-run fold (the
+     * observation merge the parallel phase left over -- see
+     * ShardStats::idleWorkNs for the part done inside it -- and the
+     * latency summaries). Execution statistics
      * like parallelWindows: they vary from run to run, never feed the
      * fingerprint and stay out of dumpStats.
      */
@@ -305,8 +306,8 @@ struct RunResult
     };
     HostPhases hostPhases;
 
-    /** Per-shard accounting of the parallel phase, shard 0 (the ToR,
-     *  on the calling thread) first; empty on serial runs. */
+    /** Per-thread accounting of the parallel phase, the calling
+     *  thread (the ToR's) first; empty on serial runs. */
     std::vector<sim::ShardStats> shardStats;
 
     std::vector<RequestOutcome> perRequest;

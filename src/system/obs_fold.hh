@@ -12,13 +12,14 @@
  * restricted to observation points wherever records carry their
  * event's tick.
  * ObsFold produces that stream, and lets most of the merge run while
- * a sharded run's windows are still going (system/rack.cc).
+ * a sharded run's parallel phase is still going (system/rack.cc).
  */
 
 #ifndef ALTOC_SYSTEM_OBS_FOLD_HH
 #define ALTOC_SYSTEM_OBS_FOLD_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -43,125 +44,175 @@ struct ObsRec
 };
 
 /**
- * Per-server live logs plus one handed-over batch, folded into
- * @p Sink -- called as sink(record, server) -- in the whole-log
- * merge order: at each step the smallest-tick log head, the lowest
- * server on a tie (ascending (tick, server, log position) wherever
- * the logs are sorted).
+ * Per-server live logs, per-server hand-over mailboxes and the
+ * folder's cursors, folded into @p Sink -- called as sink(record,
+ * server) -- in the whole-log merge order: at each step the
+ * smallest-tick log head, the lowest server on a tie (ascending
+ * (tick, server, log position) wherever the logs are sorted).
  *
- * handOver(boundary) moves each live log's records up to the first
- * one at or past @p boundary into the batch -- swapping the live log
- * with the batch's recycled, empty buffer -- once the previous batch
- * is fully folded; until then it does nothing and the live logs keep
- * growing. fold() merges up to a budget of batch records. finish()
- * folds everything left: the batch, then the live logs. A sharded
- * rack calls handOver() at window boundaries, where every worker is
- * parked, and fold() from the calling thread while it waits for the
- * workers; a live log never changes while its server's thread
- * appends to it, and the batch only ever meets the calling thread.
- * Two buffers per server circulate, so steady state allocates
- * nothing.
+ * Two sides, two threads at a time. The *holder* side of server s
+ * -- whichever thread runs s's region, one at a time -- appends to
+ * log(s) and calls handOver(s, done) at its region clock: when s's
+ * mailbox is empty it moves the live records up to the first one at
+ * or past @p done into it, with @p done as the server's bound. The
+ * *folder* side (the thread that calls fold() and finish()) takes a
+ * mailbox once it has folded the previous one, and folds records
+ * while the smallest head is certainly the whole-log merge's next:
+ * every server whose handed-over records are all folded must have a
+ * bound above that head (or equal to it, past its server). Each
+ * mailbox is a single-slot handshake on an atomic flag, so a
+ * server's two buffers circulate between its holder and the folder
+ * and steady state allocates nothing.
  *
- * Exactness. The stream must equal the merge of the whole logs --
- * the one a serial run folds in finish() alone -- which takes the
- * smallest-tick head across servers (lowest server on a tie) at each
- * step. A record's tick is not its logging event's: a straggle or
- * freeze record carries the tick its slice starts, one dispatch
- * delay after the event that logs it, so it can lie past a window's
- * end while later records in other logs lie before it. handOver()
- * therefore requires only this: every record logged after the call
- * has tick at or above @p boundary. A window boundary with the next
- * window's start as @p boundary satisfies it (no record is logged
- * before its event's tick). Every batch record is then below the
- * boundary and every head left in the logs at or above it, so the
- * whole-log merge takes all batch records first, in the batch's own
- * merge order, and then continues exactly on what stayed live.
- * Records logged at or past the boundary -- and everything after
- * them in their server's log -- wait for a later hand-over.
+ * Exactness. handOver(s, done) requires that every record s logs
+ * after the call has tick at or above @p done; a region clock
+ * satisfies it (every later event of the region is at or past it,
+ * and no record is logged before its event's tick). A record's tick
+ * is not its logging event's -- a straggle or freeze record carries
+ * the tick its slice starts, one dispatch delay on -- so a live log
+ * is not sorted; the cut therefore keeps the first record at or past
+ * @p done and everything after it live. Then every record of s the
+ * folder has not seen is at or past its bound, so a head below every
+ * such bound is the smallest head of the whole logs, and the fold
+ * takes exactly the whole-log merge's steps. finish() (after the run,
+ * the holders gone) appends each mailbox and live log to its cursor
+ * and folds the rest with no bound: the one fold routine for
+ * sharded, serial and time-limited runs.
  */
 template <typename Sink>
 class ObsFold
 {
   public:
     ObsFold(unsigned servers, Sink sink)
-        : live_(servers), batch_(servers), pos_(servers, 0),
-          sink_(std::move(sink))
+        : live_(servers), box_(servers), cur_(servers), pos_(servers, 0),
+          bound_(servers, 0), sink_(std::move(sink))
     {
     }
 
-    /** Server @p s's live log (its thread's append target). */
+    /** Server @p s's live log (its holder's append target). */
     std::vector<ObsRec> *log(unsigned s) { return &live_[s].recs; }
 
-    /** Hand the live logs' records below @p boundary over as the
-     *  next batch, unless the previous batch still has records to
-     *  fold. Each log's first record at or past @p boundary and
-     *  everything after it stay live. */
+    /** Holder side: hand server @p s's live records below @p done
+     *  over, unless its mailbox is still full. The log's first record
+     *  at or past @p done and everything after it stay live. */
     void
-    handOver(Tick boundary)
+    handOver(unsigned s, Tick done)
     {
-        if (left_ != 0)
+        Mailbox &box = box_[s];
+        if (box.full.load(std::memory_order_acquire))
             return;
-        for (std::size_t s = 0; s < live_.size(); ++s) {
-            std::vector<ObsRec> &live = live_[s].recs;
-            std::vector<ObsRec> &batch = batch_[s];
-            batch.clear();
-            std::swap(batch, live);
-            const auto cut = std::find_if(
-                batch.begin(), batch.end(),
-                [boundary](const ObsRec &o) { return o.now >= boundary; });
-            if (cut != batch.end()) {
-                live.assign(cut, batch.end());
-                batch.erase(cut, batch.end());
-            }
-            pos_[s] = 0;
-            left_ += batch.size();
+        std::vector<ObsRec> &live = live_[s].recs;
+        box.recs.clear();
+        std::swap(box.recs, live);
+        const auto cut = std::find_if(
+            box.recs.begin(), box.recs.end(),
+            [done](const ObsRec &o) { return o.now >= done; });
+        if (cut != box.recs.end()) {
+            live.assign(cut, box.recs.end());
+            box.recs.erase(cut, box.recs.end());
         }
+        box.bound = done;
+        box.full.store(true, std::memory_order_release);
     }
 
-    /** Fold up to @p budget batch records; true while some remain. */
+    /** Folder side: fold up to @p budget records that are certainly
+     *  next; true when the budget ran out (more may be foldable). */
     bool
     fold(std::size_t budget)
     {
-        const unsigned n = static_cast<unsigned>(batch_.size());
-        for (; left_ != 0 && budget != 0; --left_, --budget) {
+        const unsigned n = static_cast<unsigned>(cur_.size());
+        for (unsigned s = 0; s < n; ++s)
+            refill(s);
+        for (; budget != 0; --budget) {
             unsigned best = n;
             Tick bw = kTickInf;
             for (unsigned s = 0; s < n; ++s) {
-                if (pos_[s] < batch_[s].size() &&
-                    batch_[s][pos_[s]].now < bw) {
-                    bw = batch_[s][pos_[s]].now;
+                if (pos_[s] < cur_[s].size() && cur_[s][pos_[s]].now < bw) {
+                    bw = cur_[s][pos_[s]].now;
                     best = s;
                 }
             }
-            sink_(batch_[best][pos_[best]++], best);
+            if (best == n)
+                return false;
+            for (unsigned s = 0; s < n; ++s) {
+                if (pos_[s] == cur_[s].size() &&
+                    (bw > bound_[s] || (bw == bound_[s] && s < best)))
+                    return false;
+            }
+            sink_(cur_[best][pos_[best]++], best);
+            if (pos_[best] == cur_[best].size())
+                refill(best);
         }
-        return left_ != 0;
+        return true;
     }
 
-    /** Fold everything left: the batch, then the live logs. */
+    /** After the run: fold everything left, in the whole-log merge
+     *  order. */
     void
     finish()
     {
-        constexpr std::size_t kAll = ~std::size_t{0};
-        fold(kAll);
-        handOver(kTickInf);
-        fold(kAll);
+        for (unsigned s = 0; s < cur_.size(); ++s) {
+            std::vector<ObsRec> &cur = cur_[s];
+            cur.erase(cur.begin(),
+                      cur.begin() + static_cast<std::ptrdiff_t>(pos_[s]));
+            pos_[s] = 0;
+            Mailbox &box = box_[s];
+            if (box.full.load(std::memory_order_acquire)) {
+                cur.insert(cur.end(), box.recs.begin(), box.recs.end());
+                box.recs.clear();
+                box.full.store(false, std::memory_order_relaxed);
+            }
+            std::vector<ObsRec> &live = live_[s].recs;
+            if (cur.empty()) {
+                std::swap(cur, live);
+            } else {
+                cur.insert(cur.end(), live.begin(), live.end());
+                live.clear();
+            }
+            bound_[s] = kTickInf;
+        }
+        fold(~std::size_t{0});
     }
 
   private:
     /** A live log alone on its cache line: servers on different
-     *  shards append to theirs concurrently. */
+     *  threads append to theirs concurrently. */
     struct alignas(64) LiveLog
     {
         std::vector<ObsRec> recs;
     };
 
+    /** One server's hand-over slot: the holder fills it while full is
+     *  false, the folder empties it while full is true. */
+    struct alignas(64) Mailbox
+    {
+        std::atomic<bool> full{false};
+        Tick bound = 0;
+        std::vector<ObsRec> recs;
+    };
+
+    /** Take server @p s's mailbox once its cursor is exhausted. */
+    void
+    refill(unsigned s)
+    {
+        Mailbox &box = box_[s];
+        if (pos_[s] != cur_[s].size() ||
+            !box.full.load(std::memory_order_acquire))
+            return;
+        std::swap(cur_[s], box.recs);
+        pos_[s] = 0;
+        bound_[s] = box.bound;
+        box.full.store(false, std::memory_order_release);
+    }
+
     std::vector<LiveLog> live_;
-    std::vector<std::vector<ObsRec>> batch_;
-    /** Next unfolded record of each batch log. */
+    std::vector<Mailbox> box_;
+    /** Folder-owned: each server's records taken from its mailbox,
+     *  the next unfolded one at pos_, and the bound they came with
+     *  (every record of the server not in cur_ is at or past it). */
+    std::vector<std::vector<ObsRec>> cur_;
     std::vector<std::size_t> pos_;
-    /** Batch records not yet folded. */
-    std::size_t left_ = 0;
+    std::vector<Tick> bound_;
     Sink sink_;
 };
 

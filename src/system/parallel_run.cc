@@ -21,7 +21,7 @@ namespace {
  * Fit the batch's --jobs x --shards thread demand to the host: each
  * worker of a sharded run spawns cfg.shards kernel threads, so a
  * batch of sharded jobs multiplies. Results are unaffected either
- * way (sharding is bit-exact and the kernel's barriers yield under
+ * way (sharding is bit-exact and the kernel's waits yield and nap under
  * oversubscription); this only keeps a figure sweep from drowning
  * the machine in 10x more runnable threads than cores. Returns the
  * effective job count, logging any downgrade.

@@ -170,7 +170,7 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
 #if ALTOC_AUDIT_ENABLED
     // Each server's auditor attaches to its *own* region, so audit
     // state is shard-confined by construction; the kernel folds
-    // per-region violation counts together at window boundaries
+    // per-region violation counts together after each stretch
     // (Kernel::reconcileAudit) and settle() panics per server. For
     // one server this is exactly a bare server's wiring.
     for (auto &srv : servers_) {
@@ -309,9 +309,9 @@ Rack::noteCoreDeath(unsigned s)
 void
 Rack::stopAfterCompletions(std::uint64_t n)
 {
-    // Evaluated only outside parallel windows: the parallel gate
-    // proves the bound cannot be crossed inside one (DESIGN.md sec.
-    // 14), and outside them one thread runs every region, so the
+    // Evaluated only outside the parallel phase: the parallel gate
+    // proves the bound cannot be crossed inside it (DESIGN.md sec.
+    // 14), and outside it one thread runs every region, so the
     // per-server counts are current and read race-free.
     for (auto &srv : servers_) {
         srv->stopAfterSharedCompletions([this, n] {
@@ -335,7 +335,7 @@ Rack::resolveShards(unsigned requested) const
         return 1;
     if (numServers() == 1) {
         inform("sharding disabled: one server is one region (the "
-               "3 ns NoC lookahead cannot amortize a window barrier)");
+               "3 ns NoC lookahead leaves nothing to run ahead)");
         return 1;
     }
     if (rack_.policy == TorPolicy::PowerOfK ||
@@ -358,8 +358,8 @@ Rack::resolveShards(unsigned requested) const
         shards = numServers();
     }
     // Deliberately no hardware-concurrency clamp here: results are
-    // bit-identical at any shard count, and the kernel's barriers
-    // yield under oversubscription, so an over-threaded run is only
+    // bit-identical at any shard count, and the kernel's waits
+    // yield and nap under oversubscription, so an over-threaded run is only
     // slow, never wrong. Host-fitting (the --jobs x --shards
     // product) is the batch layer's job -- see runMany.
     return shards;
@@ -367,24 +367,26 @@ Rack::resolveShards(unsigned requested) const
 
 Tick
 Rack::runSharded(unsigned shards, Tick until,
-                 sim::Kernel::ParallelGate gate,
-                 sim::Kernel::IdleWork idle)
+                 sim::Kernel::ParallelGate gate, sim::Kernel::IdleWork idle,
+                 sim::Kernel::StretchHook stretch)
 {
     if (shards <= 1 || numServers() == 1)
         return run(until);
-    // The ToR runs alone on shard 0, which the calling thread
-    // executes; the servers spread over the worker shards 1..shards.
+    // The ToR is the hub, on the calling thread (thread 0); threads
+    // 1..shards are workers and the servers' homes, spread evenly.
+    // The calling thread has no home: it borrows whichever server
+    // lags while the ToR is capped.
     sim::Kernel::ShardPlan plan;
-    plan.shards = shards + 1;
+    plan.threads = shards + 1;
     plan.lookahead = links_[0].minDelivery();
     for (const net::RackLink &link : links_)
         plan.lookahead = std::min(plan.lookahead, link.minDelivery());
-    plan.shardOf.resize(kernel_.numRegions());
+    plan.hub = torRegion_;
+    plan.home.assign(kernel_.numRegions(), 0);
     for (unsigned s = 0; s < numServers(); ++s)
-        plan.shardOf[s] = 1 + s * shards / numServers();
-    plan.shardOf[torRegion_] = 0;
-    const Tick end =
-        kernel_.runSharded(plan, until, std::move(gate), std::move(idle));
+        plan.home[s] = 1 + s * shards / numServers();
+    const Tick end = kernel_.runSharded(plan, until, std::move(gate),
+                                        std::move(idle), std::move(stretch));
     settle();
     return end;
 }
@@ -506,7 +508,8 @@ Rack::dumpStats(std::FILE *out) const
 namespace {
 
 /** Records folded per idle-work call: a few hundred ns of host time,
- *  so the calling thread notices the workers' window end promptly. */
+ *  so the calling thread notices promptly when it can move the ToR
+ *  on or claim a region. */
 constexpr std::size_t kFoldChunk = 16;
 
 /**
@@ -603,7 +606,7 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     // per-request capture straight from its hooks, in event order. A
     // federation instead appends to per-server logs (thread-confined
     // under sharding) that ObsFold merges, partly inside the parallel
-    // windows and the rest after the run; both the serial and the
+    // phase and the rest after the run; both the serial and the
     // sharded kernel produce the same logs, so every derived
     // statistic agrees bit-for-bit.
     ObsFold obs(n, [&](const ObsRec &o, unsigned server) {
@@ -688,23 +691,23 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     Tick end = 0;
     if (shards > 1) {
         // Stay parallel only while arrivals are still pending: a
-        // request injected during a window cannot complete within it
-        // (delivery alone costs a full window), so the completion
+        // request injected in the parallel phase cannot complete
+        // below the horizon the ToR published before injecting it
+        // (delivery alone costs a lookahead), so the completion
         // threshold can only be crossed in the serial tail and the
         // stop lands on exactly the event it would serially.
         //
-        // Each boundary also hands the servers' logs over up to the
-        // next window's start (every worker is parked there), and
-        // the calling thread folds the batch while it waits for the
-        // workers' dispatch.
+        // Each server region hands its log over at its region clock
+        // after every stretch, and the calling thread folds what the
+        // clocks make final while it has nothing else to do.
         end = rack.runSharded(
             shards, spec.timeLimit,
-            sim::Kernel::ParallelGate([&gen, &obs, total = d.total](
-                                          Tick boundary) {
-                obs.handOver(boundary);
-                return gen.injected() < total;
-            }),
-            sim::Kernel::IdleWork([&obs] { return obs.fold(kFoldChunk); }));
+            sim::Kernel::ParallelGate(
+                [&gen, total = d.total] { return gen.injected() < total; }),
+            sim::Kernel::IdleWork([&obs] { return obs.fold(kFoldChunk); }),
+            sim::Kernel::StretchHook([&obs](unsigned server, Tick done) {
+                obs.handOver(server, done);
+            }));
     } else {
         end = rack.run(spec.timeLimit);
     }

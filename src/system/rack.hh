@@ -19,16 +19,17 @@
  * That same ~1 us hop is the kernel's conservative-PDES lookahead:
  * the only events crossing a region boundary are ToR->server
  * deliveries paying at least the link's propagation + serialization
- * delay, so runSharded() can advance the regions in parallel windows
- * of that width and still dispatch the exact canonical (tick,
- * region, seq) order of the serial kernel. Fingerprints, goldens and
- * raw trace bytes are bit-identical for every shard count
- * (tests/test_sharded.cc pins this); sharding is purely an execution
- * strategy. Configurations whose semantics genuinely couple regions
- * mid-window -- load-inspecting ToR policies (p2c/ll read server
- * queue depths at pick time) and fail-stop fault schedules (server
- * death fans state back into the ToR's steering tables) -- are
- * downgraded to the serial kernel by resolveShards(), with a log
+ * delay, so runSharded() can let every server region run up to one
+ * lookahead past the ToR's published clock, with no barrier, and
+ * still dispatch the exact canonical (tick, region, seq) order of the
+ * serial kernel. Fingerprints, goldens and raw trace bytes are
+ * bit-identical for every shard count (tests/test_sharded.cc pins
+ * this); sharding is purely an execution strategy. Configurations
+ * whose semantics genuinely couple regions below the lookahead --
+ * load-inspecting ToR policies (p2c/ll read server queue depths at
+ * pick time) and fail-stop fault schedules (server death fans state
+ * back into the ToR's steering tables) -- are downgraded to the
+ * serial kernel by resolveShards(), with a log
  * line, rather than silently changing results.
  *
  * Determinism contract: with servers == 1 the Rack adds nothing to
@@ -128,7 +129,7 @@ class Rack
 
     /** Stop the kernel once @p n requests completed rack-wide,
      *  summed from the per-server counts after each completion
-     *  outside parallel windows (Server::stopAfterSharedCompletions). */
+     *  outside the parallel phase (Server::stopAfterSharedCompletions). */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
@@ -139,34 +140,37 @@ class Rack
      * Downgrades (each with an inform() line naming the reason):
      *  - servers == 1: one region, nothing to shard;
      *  - p2c / ll ToR policies: pickServer reads remote queue depths
-     *    at decision time, an oracle the window protocol cannot
+     *    at decision time, an oracle the region clocks cannot
      *    reproduce;
      *  - fault specs with fail-stops: server death synchronously
      *    updates the ToR's steering state;
      * and clamps to at most one shard per server. The result counts
-     * server partitions: the ToR runs on a shard of its own on top
-     * (see runSharded). No hardware-concurrency clamp -- host fitting
+     * worker threads: the calling thread runs the ToR on top (see
+     * runSharded). No hardware-concurrency clamp -- host fitting
      * is the batch layer's job (runMany).
      */
     unsigned resolveShards(unsigned requested) const;
 
     /**
-     * Sharded run over @p shards server partitions: the ToR region
-     * runs alone on shard 0, which the calling thread executes, and
-     * server s on worker shard 1 + s*shards/servers -- @p shards
-     * worker threads plus the caller. Windows are the rack link's
-     * minimum delivery time. @p gate and @p idle as in
-     * sim::Kernel::runSharded -- runExperiment's gate hands the
-     * servers' observation logs over and answers "arrivals still
-     * pending", which provably confines the completion-count stop to
-     * the serial tail (DESIGN.md sec. 14), and its idle work folds
-     * the handed-over logs while the ToR's window is done and the
-     * servers' is not. Exact same results as run(); callers should
+     * Sharded run with @p shards worker threads plus the calling
+     * thread: the ToR region is the kernel's hub, on the calling
+     * thread; server s is homed on worker 1 + s*shards/servers, and
+     * any thread -- the calling one too, while the ToR is a capped
+     * lead ahead -- may borrow it when its own work is blocked on the
+     * ToR clock. The lookahead is the rack link's
+     * minimum delivery time. @p gate, @p idle and @p stretch as in
+     * sim::Kernel::runSharded -- runExperiment's gate answers
+     * "arrivals still pending", which provably confines the
+     * completion-count stop to the serial tail (DESIGN.md sec. 14),
+     * its stretch hook hands each server's observation log over at
+     * the server's region clock, and its idle work folds what those
+     * clocks made final. Exact same results as run(); callers should
      * pass a @p shards value vetted by resolveShards().
      */
     Tick runSharded(unsigned shards, Tick until = kTickInf,
                     sim::Kernel::ParallelGate gate = {},
-                    sim::Kernel::IdleWork idle = {});
+                    sim::Kernel::IdleWork idle = {},
+                    sim::Kernel::StretchHook stretch = {});
 
     /** Pre-size every server's latency sample store (descriptor
      *  pools grow with the in-flight count; see Server::reserveFor). */

@@ -233,7 +233,7 @@ class Server : public sched::CompletionSink
      * rack-wide completion bound is met, and stop the shared kernel
      * when it is. Replaces any per-server stopAfterCompletions bound.
      * The rack answers from the per-server completed() counts, and
-     * only outside parallel windows, where its parallel gate proves
+     * only outside the parallel phase, where its parallel gate proves
      * the bound cannot be crossed (DESIGN.md section 14) -- so no
      * counter is shared between shard threads.
      */

@@ -41,10 +41,15 @@ using namespace altoc::sim;
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
-} // namespace
 
-void *
-operator new(std::size_t n)
+/**
+ * The one allocation pair behind every replaced operator below. Kept
+ * out of line, so the compiler never inlines malloc into an operator
+ * new and free into an operator delete at a call site -- which is
+ * what GCC's -Wmismatched-new-delete reads as a new/free mismatch.
+ */
+[[gnu::noinline]] void *
+countedAlloc(std::size_t n)
 {
     ++g_allocs;
     if (void *p = std::malloc(n ? n : 1))
@@ -52,16 +57,19 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
-operator new[](std::size_t n)
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
 {
-    return ::operator new(n);
+    std::free(p);
 }
+} // namespace
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 
 // ---------------------------------------------------------------------
 // Generation-counted handles

@@ -20,19 +20,21 @@
  *  4. Downgrade semantics: load-inspecting ToR policies and N=1
  *     topologies resolve to the serial kernel rather than changing
  *     results.
- *  5. The window protocol itself, at kernel level: the calling
- *     thread's shard 0 sends and receives more than a channel holds
- *     in one window and still reproduces Kernel::run()'s dispatch
- *     order, also while it runs idle work between its channel
- *     sweeps; the rack places the ToR alone on that shard and reports
- *     per-shard accounting.
- *  6. The rack's observation fold, partly run inside the windows:
- *     ObsFold replays the whole-log merge whatever its hand-over and
- *     fold points, also when records carry ticks past the window
- *     end; latency summaries, per-server summaries and the
- *     per-request capture agree across shard counts, also when a
- *     time limit ends the parallel phase before the gate closes or
- *     straggle and freeze faults log such records.
+ *  5. Region clocks at kernel level, on a star whose hub runs on the
+ *     calling thread: a hub that fills rings of regions whose holders
+ *     wait on its clock, claims handed between threads at every
+ *     stretch, and endless idle work on the calling thread all
+ *     reproduce Kernel::run()'s per-region dispatch sequences; the
+ *     rack runs the ToR on the calling thread, reports per-thread
+ *     accounting, and its parallelWindows repeat exactly.
+ *  6. The rack's observation fold, partly run inside the parallel
+ *     phase: ObsFold replays the whole-log merge whatever its
+ *     hand-over clocks and fold points, also when records carry ticks
+ *     past the hand-over clock; latency summaries, per-server
+ *     summaries and the per-request capture agree across shard
+ *     counts, also when a time limit ends the parallel phase before
+ *     the gate closes or straggle and freeze faults log such
+ *     records.
  */
 
 #include <gtest/gtest.h>
@@ -287,47 +289,75 @@ TEST(Sharded, SingleServerStaysSerial)
 }
 
 // ---------------------------------------------------------------------
-// 5. Window protocol at kernel level, and the rack's shard placement
+// 5. Region clocks at kernel level, and the rack's thread placement
 // ---------------------------------------------------------------------
 
 namespace {
 
 constexpr Tick kLookahead = 100;
-constexpr unsigned kRegions = 4;
-/** Cross events each region fires at tick 0 -- all inside the first
- *  window, and several channels' worth. */
-constexpr std::uint64_t kBurst = 3 * sim::Kernel::kRingSlots;
 
 /**
- * Four regions that flood each other with cross-region events: each
- * fires kBurst at tick 0, a fifth of the landings bounce on (up to
- * twice), and some landings add a local event. Every dispatch
- * appends (tick, tag) to its region's log, which only that region's
- * thread touches.
+ * A star: spoke regions 0..spokes-1 and the hub, region `spokes`,
+ * which alone sends cross-region events. The hub fires `burst` events
+ * at tick 0, then keeps sending a few per spoke every half lookahead
+ * up to tick `until`; a fifth of the landings start a short local
+ * chain and some add a local event. Every dispatch appends (tick,
+ * tag) to its region's log and the executing thread's id to its
+ * region's thread log -- both touched only by the region's holder.
  */
-struct CrossFlood
+struct StarFlood
 {
     sim::Kernel kernel;
+    unsigned spokes;
     std::vector<std::vector<std::pair<Tick, std::uint64_t>>> logs;
+    std::vector<std::vector<std::thread::id>> ran;
+    std::uint64_t burst;
+    Tick until;
 
-    CrossFlood() : logs(kRegions)
+    StarFlood(unsigned spokes_, std::uint64_t burst_, Tick until_)
+        : spokes(spokes_), logs(spokes_ + 1), ran(spokes_ + 1),
+          burst(burst_), until(until_)
     {
-        for (unsigned r = 0; r < kRegions; ++r)
+        for (unsigned r = 0; r <= spokes; ++r)
             kernel.addRegion();
-        for (unsigned r = 0; r < kRegions; ++r)
-            kernel.region(r).at(0, [this, r] { burst(r); });
+    }
+
+    /** Schedule the hub's tick-0 burst (after any tick-0 event the
+     *  test scheduled first). */
+    StarFlood &
+    start()
+    {
+        hub().at(0, [this] { fire(burst); });
+        return *this;
+    }
+
+    sim::Simulator &hub() { return kernel.region(spokes); }
+
+    sim::Kernel::ShardPlan
+    plan(unsigned threads, std::vector<unsigned> home)
+    {
+        sim::Kernel::ShardPlan p;
+        p.threads = threads;
+        p.lookahead = kLookahead;
+        p.hub = spokes;
+        home.push_back(0); // the hub's entry is ignored
+        p.home = std::move(home);
+        return p;
     }
 
     void
-    burst(unsigned src)
+    fire(std::uint64_t n)
     {
-        for (std::uint64_t i = 0; i < kBurst; ++i) {
-            const unsigned dst = (src + 1 + i % (kRegions - 1)) % kRegions;
-            const Tick when = kernel.region(src).now() + kLookahead + i % 7;
-            const std::uint64_t tag = (std::uint64_t{src} << 32) | i;
-            kernel.crossSchedule(src, dst, when,
+        const Tick now = hub().now();
+        logs[spokes].emplace_back(now, n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const unsigned dst = static_cast<unsigned>((now + i) % spokes);
+            const std::uint64_t tag = (now << 20) | i;
+            kernel.crossSchedule(spokes, dst, now + kLookahead + i % 7,
                                  [this, dst, tag] { land(dst, tag, 0); });
         }
+        if (now + kLookahead / 2 <= until)
+            hub().after(kLookahead / 2, [this] { fire(2 * spokes); });
     }
 
     void
@@ -335,12 +365,10 @@ struct CrossFlood
     {
         sim::Simulator &here = kernel.region(r);
         logs[r].emplace_back(here.now(), tag);
-        if (hop < 2 && tag % 5 == 0) {
-            const unsigned dst = (r + 2) % kRegions;
-            kernel.crossSchedule(r, dst, here.now() + kLookahead + tag % 3,
-                                 [this, dst, tag, hop] {
-                                     land(dst, tag, hop + 1);
-                                 });
+        ran[r].push_back(std::this_thread::get_id());
+        if (hop < 3 && tag % 5 == 0) {
+            here.after(kLookahead / 3 + tag % 3,
+                       [this, r, tag, hop] { land(r, tag, hop + 1); });
         }
         if (tag % 11 == 0) {
             here.after(3, [this, r, tag] {
@@ -350,84 +378,153 @@ struct CrossFlood
     }
 };
 
-} // namespace
-
-/** Regions 0 and 1 on the caller's shard 0, regions 2 and 3 on two
- *  workers. In the first window shard 0 both sends and receives more
- *  cross events than a channel holds -- so the caller must keep
- *  draining while it pushes and while it waits for the workers --
- *  and every region's dispatch sequence still equals the serial
- *  run's. Per-region sequences fix the canonical (tick, region, seq)
- *  merge, so this is the whole dispatch order. */
-TEST(Sharded, CallerShardExchangesPastChannelCapacity)
+/** Per-region sequences fix the canonical (tick, region, seq) merge,
+ *  so equal logs are the whole dispatch order. */
+void
+expectSameLogs(const StarFlood &serial, const StarFlood &sharded)
 {
-    CrossFlood serial;
-    serial.kernel.run();
-
-    CrossFlood sharded;
-    sim::Kernel::ShardPlan plan;
-    plan.shards = 3;
-    plan.lookahead = kLookahead;
-    plan.shardOf = {0, 0, 1, 2};
-    sharded.kernel.runSharded(plan);
-
-    ASSERT_GT(serial.logs[0].size(), kBurst);
-    for (unsigned r = 0; r < kRegions; ++r)
+    for (unsigned r = 0; r <= serial.spokes; ++r)
         EXPECT_EQ(serial.logs[r], sharded.logs[r]) << "region " << r;
     EXPECT_EQ(serial.kernel.eventsExecuted(),
               sharded.kernel.eventsExecuted());
-    EXPECT_GT(sharded.kernel.parallelWindows(), 0u);
-
-    // No gate, so every event ran inside a parallel window, and every
-    // event pushed into a channel came out of one.
-    const std::vector<sim::ShardStats> &st = sharded.kernel.shardStats();
-    ASSERT_EQ(st.size(), 3u);
-    std::uint64_t events = 0, sent = 0, received = 0;
-    for (const sim::ShardStats &s : st) {
-        events += s.events;
-        sent += s.crossSent;
-        received += s.crossReceived;
-    }
-    EXPECT_EQ(events, sharded.kernel.eventsExecuted());
-    EXPECT_EQ(sent, received);
-    EXPECT_GT(st[0].crossSent, sim::Kernel::kRingSlots);
-    EXPECT_GT(st[0].crossReceived, sim::Kernel::kRingSlots);
 }
 
-/** Same flood, plus idle work on the caller that never runs out: in
- *  every window the caller must keep sweeping its channels between
- *  idle chunks, or a worker blocked on a full ring toward shard 0
- *  never finishes its dispatch. A late event on a worker waits (up
- *  to a second) for the idle work to have run, so it provably does,
- *  and the idle work never runs outside the parallel phase. */
-TEST(Sharded, IdleWorkKeepsCallerDrainingPastChannelCapacity)
+} // namespace
+
+/** Both spokes are held by their home workers, which are blocked on
+ *  the hub clock, when the hub's first event sends several rings'
+ *  worth into each: the hub cannot claim a held region, so it
+ *  finishes only because a holder waiting on the hub clock keeps
+ *  draining its region's ring. (On a host too loaded to start the
+ *  workers in time the hub drains unclaimed rings itself; the result
+ *  must be the same.) */
+TEST(Sharded, FullTorRingDrainsWhileHoldersWait)
 {
-    CrossFlood serial;
-    serial.kernel.region(2).at(10 * kLookahead, [&serial] {
-        serial.logs[2].emplace_back(serial.kernel.region(2).now(), 0);
-    });
+    constexpr std::uint64_t kBurst = 6 * sim::Kernel::kRingSlots;
+    // Each spoke's tick-0 event marks its region held; the hub's
+    // tick-0 event, scheduled before the burst, waits for both (up to
+    // a second). The serial reference gets the same events.
+    std::atomic<unsigned> started{0};
+    auto build = [&started](StarFlood &f, bool wait) {
+        for (unsigned r = 0; r < 2; ++r) {
+            f.kernel.region(r).at(0, [&started] {
+                started.fetch_add(1, std::memory_order_release);
+            });
+        }
+        f.hub().at(0, [&started, wait] {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(1);
+            while (wait && started.load(std::memory_order_acquire) < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        });
+        f.start();
+    };
+    StarFlood serial(2, kBurst, 20 * kLookahead);
+    build(serial, false);
     serial.kernel.run();
 
-    CrossFlood sharded;
+    started.store(0);
+    StarFlood sharded(2, kBurst, 20 * kLookahead);
+    build(sharded, true);
+    sharded.kernel.runSharded(sharded.plan(3, {1, 2}));
+
+    expectSameLogs(serial, sharded);
+    EXPECT_GT(sharded.kernel.parallelWindows(), 0u);
+    const std::vector<sim::ShardStats> &st = sharded.kernel.shardStats();
+    ASSERT_EQ(st.size(), 3u);
+    std::uint64_t received = 0;
+    for (const sim::ShardStats &s : st)
+        received += s.crossReceived;
+    EXPECT_GT(st[0].crossSent, 2 * sim::Kernel::kRingSlots);
+    EXPECT_EQ(received, st[0].crossSent);
+}
+
+/** Every spoke is homed on the calling thread, which is mostly busy
+ *  with the hub, so the workers run them as borrowed regions: a
+ *  worker hands a borrowed region back whenever it blocks on the hub
+ *  clock -- with the hub firing every half lookahead, after nearly
+ *  every stretch -- and the calling thread after each stretch it
+ *  helps with; the next stretch goes to whichever thread claims the
+ *  region first. Claims hand each region between threads throughout
+ *  the run, and every region's dispatch sequence still equals the
+ *  serial run's. */
+TEST(Sharded, ClaimsRotateAmongThreads)
+{
+    StarFlood serial(3, 64, 400 * kLookahead);
+    serial.start().kernel.run();
+
+    StarFlood sharded(3, 64, 400 * kLookahead);
+    sharded.start().kernel.runSharded(sharded.plan(3, {0, 0, 0}));
+
+    expectSameLogs(serial, sharded);
+    EXPECT_GT(sharded.kernel.parallelWindows(), 300u);
+    const std::vector<sim::ShardStats> &st = sharded.kernel.shardStats();
+    ASSERT_EQ(st.size(), 3u);
+    std::uint64_t events = 0;
+    for (const sim::ShardStats &s : st)
+        events += s.events;
+    EXPECT_EQ(events, sharded.kernel.eventsExecuted());
+    // Worker claims are all steals, one per stretch; the calling
+    // thread claims whatever it helps with.
+    std::uint64_t claims = 0;
+    for (unsigned t = 0; t < 3; ++t) {
+        claims += st[t].claims;
+        if (t != 0) {
+            EXPECT_EQ(st[t].claims, st[t].steals) << "thread " << t;
+        }
+    }
+    EXPECT_GT(claims, 3u);
+    // Which thread ran what depends on the host's scheduling; with
+    // the workers running at all, regions change hands.
+    std::size_t handOffs = 0;
+    for (unsigned r = 0; r < 3; ++r) {
+        const std::vector<std::thread::id> &ids = sharded.ran[r];
+        for (std::size_t i = 1; i < ids.size(); ++i)
+            handOffs += ids[i] != ids[i - 1];
+    }
+    if (st[1].steals + st[2].steals > 10) {
+        EXPECT_GT(handOffs, 0u);
+    }
+    RecordProperty("hand_offs", static_cast<int>(handOffs));
+}
+
+/** A burst past ring capacity plus idle work on the calling thread
+ *  that never runs out: the caller must keep moving the hub (and so
+ *  keep pushing and draining) between idle chunks. A late spoke event
+ *  run by a worker waits (up to a second) for the idle work to have
+ *  run, so it provably does, and the idle work never runs outside the
+ *  parallel phase. */
+TEST(Sharded, IdleWorkKeepsCallerDrainingPastChannelCapacity)
+{
+    constexpr std::uint64_t kBurst = 3 * sim::Kernel::kRingSlots;
+    StarFlood serial(2, kBurst, 40 * kLookahead);
+    serial.kernel.region(1).at(10 * kLookahead, [&serial] {
+        serial.logs[1].emplace_back(serial.kernel.region(1).now(), 0);
+    });
+    serial.start().kernel.run();
+
+    StarFlood sharded(2, kBurst, 40 * kLookahead);
     std::atomic<bool> idleRan{false};
-    sharded.kernel.region(2).at(10 * kLookahead, [&sharded, &idleRan] {
+    const std::thread::id caller = std::this_thread::get_id();
+    bool lateOnWorker = false;
+    sharded.kernel.region(1).at(10 * kLookahead, [&, caller] {
+        // Only a worker can wait for the calling thread's idle work.
+        lateOnWorker = std::this_thread::get_id() != caller;
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(1);
-        while (!idleRan.load(std::memory_order_acquire) &&
+        while (lateOnWorker && !idleRan.load(std::memory_order_acquire) &&
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::yield();
-        sharded.logs[2].emplace_back(sharded.kernel.region(2).now(), 0);
+        sharded.logs[1].emplace_back(sharded.kernel.region(1).now(), 0);
     });
-    sim::Kernel::ShardPlan plan;
-    plan.shards = 3;
-    plan.lookahead = kLookahead;
-    plan.shardOf = {0, 0, 1, 2};
+    sharded.start();
     // Caller-owned work: a running checksum over a private vector.
     std::vector<std::uint64_t> work(64, 1);
     std::uint64_t calls = 0;
     std::uint64_t outsidePhase = 0;
     sharded.kernel.runSharded(
-        plan, kTickInf, {},
+        sharded.plan(3, {1, 2}), kTickInf, {},
         sim::Kernel::IdleWork([&] {
             if (!sharded.kernel.parallelPhase())
                 ++outsidePhase;
@@ -438,25 +535,22 @@ TEST(Sharded, IdleWorkKeepsCallerDrainingPastChannelCapacity)
             return true;
         }));
 
-    for (unsigned r = 0; r < kRegions; ++r)
-        EXPECT_EQ(serial.logs[r], sharded.logs[r]) << "region " << r;
-    EXPECT_EQ(serial.kernel.eventsExecuted(),
-              sharded.kernel.eventsExecuted());
-    EXPECT_GT(calls, 0u);
+    expectSameLogs(serial, sharded);
     EXPECT_EQ(outsidePhase, 0u);
     const std::vector<sim::ShardStats> &st = sharded.kernel.shardStats();
     ASSERT_EQ(st.size(), 3u);
     EXPECT_GT(st[0].crossSent, sim::Kernel::kRingSlots);
-    EXPECT_GT(st[0].crossReceived, sim::Kernel::kRingSlots);
+    EXPECT_GT(calls, 0u);
     EXPECT_GT(st[0].idleWorkNs, 0u);
     EXPECT_EQ(st[1].idleWorkNs, 0u);
     EXPECT_EQ(st[2].idleWorkNs, 0u);
 }
 
-/** A rack on K server shards runs K + 1 shards: the ToR alone on the
- *  caller's shard 0, which only sends (request deliveries) and never
- *  receives; every worker shard dispatches server events. */
-TEST(Sharded, TorRunsAloneOnCallerShard)
+/** A rack with K worker threads runs K + 1 threads: the ToR on the
+ *  calling thread, the only sender (request deliveries); server
+ *  regions are claimed to be run, and every delivery pushed into a
+ *  ring is drained out of one. */
+TEST(Sharded, TorRunsOnCallingThread)
 {
     const RunResult serial =
         runExperiment(shardConfig(Design::AcInt, 1), shardSpec());
@@ -471,15 +565,41 @@ TEST(Sharded, TorRunsAloneOnCallerShard)
     EXPECT_GT(tor.events, 0u);
     EXPECT_GT(tor.crossSent, 0u);
     EXPECT_LE(tor.crossSent, res.torDispatched);
-    EXPECT_EQ(tor.crossReceived, 0u);
     std::uint64_t delivered = 0;
-    for (unsigned k = 1; k < 3; ++k) {
-        EXPECT_GT(res.shardStats[k].events, 0u) << "shard " << k;
-        EXPECT_EQ(res.shardStats[k].crossSent, 0u) << "shard " << k;
+    std::uint64_t events = 0;
+    std::uint64_t claims = 0;
+    for (unsigned k = 0; k < 3; ++k) {
+        if (k != 0) {
+            EXPECT_EQ(res.shardStats[k].crossSent, 0u) << "thread " << k;
+        }
         delivered += res.shardStats[k].crossReceived;
+        events += res.shardStats[k].events;
+        claims += res.shardStats[k].claims;
     }
     EXPECT_EQ(delivered, tor.crossSent);
+    EXPECT_GT(events, tor.events); // server events ran in the phase
+    EXPECT_GT(claims, 0u);
     EXPECT_GT(res.hostPhases.windowsNs, 0u);
+}
+
+/** parallelWindows counts the lookahead steps the ToR clock covered
+ *  in the parallel phase -- a function of the ToR's event stream --
+ *  so it repeats exactly across runs and thread counts. */
+TEST(Sharded, ParallelWindowsRepeatExactly)
+{
+    std::uint64_t first = 0;
+    for (unsigned shards : {2u, 4u}) {
+        for (int rep = 0; rep < 3; ++rep) {
+            const RunResult res =
+                runExperiment(shardConfig(Design::AcInt, shards),
+                              shardSpec());
+            ASSERT_GT(res.parallelWindows, 0u);
+            if (first == 0)
+                first = res.parallelWindows;
+            EXPECT_EQ(res.parallelWindows, first)
+                << "shards=" << shards << " run " << rep;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -528,18 +648,19 @@ expectSameObservations(const RunResult &serial, const RunResult &sharded,
 } // namespace
 
 /** ObsFold at unit level, with the hand-over and fold points chosen
- *  by the test rather than by thread timing: three servers log
- *  records window by window (same-tick ties across servers
- *  included), the logs are handed over at every boundary, and each
- *  window folds a random budget -- often too small, so a batch is
- *  still pending at the next boundary and that hand-over must wait.
- *  The folded stream must be the whole-log merge a serial run folds
- *  in finish() alone, every record exactly once; with every record
- *  at its logging event's tick that is the global (tick, server,
- *  position) order. A second pass gives records ticks ahead of their
- *  logging event (a straggle or freeze record carries its slice's
- *  start, one dispatch delay on), some past the window end: those,
- *  and everything after them, must stay live at the hand-over. */
+ *  by the test rather than by thread timing: three servers advance
+ *  their own region clocks in random order, log records at or past
+ *  them (same-tick ties across servers included) and usually hand
+ *  over at the new clock; each step folds a random budget -- often
+ *  too small, so a mailbox is still full at the next hand-over,
+ *  which must then wait. The folded stream must be the whole-log
+ *  merge a serial run folds in finish() alone, every record exactly
+ *  once; with every record at its logging event's tick that is the
+ *  global (tick, server, position) order. A second pass gives records
+ *  ticks ahead of their logging event (a straggle or freeze record
+ *  carries its slice's start, one dispatch delay on), some past the
+ *  clock the hand-over uses: those, and everything after them, must
+ *  stay live. */
 TEST(Sharded, ObsFoldBatchesReplayGlobalOrder)
 {
     constexpr unsigned kServers = 3;
@@ -565,30 +686,37 @@ TEST(Sharded, ObsFoldBatchesReplayGlobalOrder)
                          batched.push_back(Seen{o.now, server, o.id});
                      });
 
+        // Each server has its own region clock: it logs records at
+        // event ticks at or past its clock, then advances the clock
+        // and usually hands over at it. Servers advance in random
+        // order and by random amounts, as claimed regions do.
         Rng rng(11);
         std::uint64_t id = 0;
-        std::uint64_t pastEnd = 0;
-        for (Tick w = 0; w < 300; ++w) {
-            fold.handOver(w * kWindow);
-            for (unsigned s = 0; s < kServers; ++s) {
-                // Logging events advance through the window, from a
-                // few tick values so servers tie with each other.
-                Tick t = w * kWindow;
-                const std::uint64_t records = rng.below(6);
-                for (std::uint64_t k = 0; k < records; ++k) {
-                    t = std::min(t + rng.below(3) * 10,
-                                 w * kWindow + kWindow - 1);
-                    ObsRec o;
+        std::uint64_t pastClock = 0;
+        std::vector<Tick> clock(kServers, 0);
+        for (int step = 0; step < 900; ++step) {
+            const unsigned s = static_cast<unsigned>(rng.below(kServers));
+            const Tick next = clock[s] + 1 + rng.below(kWindow);
+            Tick t = clock[s];
+            const std::uint64_t records = rng.below(6);
+            for (std::uint64_t k = 0; k < records; ++k) {
+                // A few tick values, so servers tie with each other.
+                t = std::min(t + rng.below(3) * 10, next - 1);
+                ObsRec o;
+                o.now = t - t % 10;
+                if (o.now < clock[s])
                     o.now = t;
-                    if (lead != 0 && rng.below(2) == 0)
-                        o.now += rng.below(lead + 1);
-                    o.id = id++;
-                    pastEnd += o.now >= (w + 1) * kWindow;
-                    fold.log(s)->push_back(o);
-                    serial.log(s)->push_back(o);
-                    logged.push_back(Seen{o.now, s, o.id});
-                }
+                if (lead != 0 && rng.below(2) == 0)
+                    o.now += rng.below(lead + 1);
+                o.id = id++;
+                pastClock += o.now >= next;
+                fold.log(s)->push_back(o);
+                serial.log(s)->push_back(o);
+                logged.push_back(Seen{o.now, s, o.id});
             }
+            clock[s] = next;
+            if (rng.below(4) != 0)
+                fold.handOver(s, next);
             fold.fold(rng.below(12));
         }
         fold.finish();
@@ -609,13 +737,13 @@ TEST(Sharded, ObsFoldBatchesReplayGlobalOrder)
                       });
             EXPECT_EQ(whole, logged);
         } else {
-            EXPECT_GT(pastEnd, 20u);
+            EXPECT_GT(pastClock, 20u);
         }
     }
 }
 
-/** The fold that runs inside the windows (handed-over batches) and
- *  after the run (the rest) replays the serial observation stream:
+/** The fold that runs inside the parallel phase (handed-over
+ *  records) and after the run (the rest) replays the serial observation stream:
  *  every summary and every captured request agree at 1, 2 and 4
  *  shards. */
 TEST(Sharded, InWindowFoldMatchesSerialCapture)
@@ -634,10 +762,11 @@ TEST(Sharded, InWindowFoldMatchesSerialCapture)
     }
 }
 
-/** A time limit inside the arrival stream ends the parallel phase at
- *  a boundary that never consults the gate: the last windows' logs
- *  are never handed over and the post-run fold merges the leftover
- *  batch and the live logs. Still the serial run's observations. */
+/** A time limit inside the arrival stream ends the parallel phase
+ *  without the gate closing: the last stretches' records are never
+ *  folded in the phase, and the post-run fold merges the leftover
+ *  cursors, mailboxes and live logs. Still the serial run's
+ *  observations. */
 TEST(Sharded, TimeLimitLeavesLogsForPostRunFold)
 {
     WorkloadSpec spec = shardSpec();
@@ -659,9 +788,9 @@ TEST(Sharded, TimeLimitLeavesLogsForPostRunFold)
 
 /** Straggle and freeze records carry the tick a slice starts, which a
  *  design with a dispatch delay (Shinjuku ~35 ns, RSS 2 ns) puts
- *  ahead of the event that logs them -- possibly past the window
- *  end. Such records must be folded after the next window's
- *  earlier-ticked records of other servers, exactly as the serial
+ *  ahead of the event that logs them -- possibly past the region
+ *  clock of the next hand-over. Such records must be folded after
+ *  other servers' earlier-ticked later records, exactly as the serial
  *  run's whole-log merge folds them. */
 TEST(Sharded, StretchFaultsPastBoundaryFoldInSerialOrder)
 {

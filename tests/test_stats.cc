@@ -84,32 +84,57 @@ referenceRank(const std::vector<Tick> &sorted, double q)
 
 } // namespace
 
-/** summary() selects its ranks instead of sorting; every field must
- *  equal a sorted reference, at sizes around the p99.9 rank step and
- *  with heavy duplicates, and the lazy-sort queries must still hold
- *  after summary() permuted the samples. */
+/** summary() buckets and selects its ranks instead of sorting; every
+ *  field must equal a sorted reference, at sizes around the p99.9
+ *  rank step, with heavy duplicates inside and above the buckets
+ *  that hold one value each, all-equal samples, a bimodal tail and
+ *  values across the 64-bit range. summary() keeps the
+ *  recording order, and the lazy-sort queries still hold after it. */
 TEST(SampleHistogram, SummarySelectionMatchesSortedReference)
 {
     Rng rng(2024);
-    for (const std::size_t n : {0u, 1u, 2u, 999u, 1000u, 1001u}) {
-        for (const std::uint64_t spread : {3u, 1000000u}) {
+    // Sample shapes: a narrow spread puts most samples on a few
+    // values, the wide one adds a sparse tail like latencies; then
+    // all-equal samples, a cluster on 1500 ns (two values per bucket
+    // there), a bimodal 500 ns / 50 us service mix, and values across
+    // the whole 64-bit range (every bucket range).
+    enum Shape { Narrow, Wide, AllEqual, Cluster, Bimodal, FullRange };
+    const auto draw = [&rng](Shape shape) -> Tick {
+        switch (shape) {
+        case Narrow:
+        case Wide:
+            return 100 + rng.below(shape == Narrow ? 3 : 1000000) +
+                   (rng.below(100) == 0 ? 50000 : 0);
+        case AllEqual:
+            return 777777;
+        case Cluster:
+            return 1500 + (rng.below(3) == 0 ? rng.below(300) : 0);
+        case Bimodal:
+            return (rng.below(200) == 0 ? 50 * kUs : 500) + rng.below(40);
+        case FullRange:
+            return rng.next() >> rng.below(64);
+        }
+        return 0;
+    };
+    for (const std::size_t n : {0u, 1u, 2u, 999u, 1000u, 1001u, 20000u}) {
+        for (const Shape shape :
+             {Narrow, Wide, AllEqual, Cluster, Bimodal, FullRange}) {
             SampleHistogram h;
             std::vector<Tick> ref;
             double sum = 0.0;
             for (std::size_t i = 0; i < n; ++i) {
-                // A narrow spread puts most samples on a few values;
-                // the wide one adds a sparse tail, like latencies.
-                const Tick v = 100 + rng.below(spread) +
-                               (rng.below(100) == 0 ? 50000 : 0);
+                const Tick v = draw(shape);
                 h.record(v);
                 ref.push_back(v);
                 sum += static_cast<double>(v);
             }
+            const std::vector<Tick> recorded = ref;
             std::sort(ref.begin(), ref.end());
             const Summary s = h.summary();
+            EXPECT_EQ(h.samples(), recorded);
             char what[64];
-            std::snprintf(what, sizeof what, "n=%zu spread=%llu", n,
-                          static_cast<unsigned long long>(spread));
+            std::snprintf(what, sizeof what, "n=%zu shape=%d", n,
+                          static_cast<int>(shape));
             EXPECT_EQ(s.count, n) << what;
             if (n == 0) {
                 EXPECT_EQ(s.p50, 0u);

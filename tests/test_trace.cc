@@ -31,13 +31,31 @@ using namespace altoc::trace;
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
+
+/**
+ * The one allocation pair behind every replaced operator below. Kept
+ * out of line, so the compiler never inlines malloc into an operator
+ * new and free into an operator delete at a call site -- which is
+ * what GCC's -Wmismatched-new-delete reads as a new/free mismatch.
+ */
+[[gnu::noinline]] void *
+countedAlloc(std::size_t n) noexcept
+{
+    ++g_allocs;
+    return std::malloc(n ? n : 1);
+}
+
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = countedAlloc(n))
         return p;
     throw std::bad_alloc();
 }
@@ -54,8 +72,7 @@ operator new[](std::size_t n)
 void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
-    ++g_allocs;
-    return std::malloc(n ? n : 1);
+    return countedAlloc(n);
 }
 
 void *
@@ -64,19 +81,19 @@ operator new[](std::size_t n, const std::nothrow_t &t) noexcept
     return ::operator new(n, t);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace {
