@@ -13,9 +13,13 @@
  * head-of-line blocking while AC degrades gracefully, and the MSR
  * interface costing ~9% of ISA's peak -- are the reproduction
  * target.
+ *
+ * The 4 x 11 grid runs as one parallel batch (--jobs, --scale; see
+ * bench_util.hh) and ends with the sweep fingerprint of its runs.
  */
 
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "bench_util.hh"
@@ -26,43 +30,53 @@ using namespace altoc::system;
 
 namespace {
 
-MicaRunConfig
-configFor(Design design, core::Interface iface, double rate)
+/** One Fig. 14 point: a design at an offered rate. */
+struct Point
 {
-    MicaRunConfig cfg;
-    cfg.design.design = design;
-    cfg.design.cores = 64;
-    cfg.design.groups = 4; // the paper's 4-manager configuration
-    cfg.design.lineRateGbps = 1600.0;
-    cfg.design.params.iface = iface;
+    DesignConfig design;
+    WorkloadSpec spec;
+    MicaRunConfig mica;
+};
+
+Point
+pointFor(Design design, core::Interface iface, double rate,
+         const bench::Options &opt)
+{
+    Point p;
+    p.design.design = design;
+    p.design.cores = 64;
+    p.design.groups = 4; // the paper's 4-manager configuration
+    p.design.lineRateGbps = 1600.0;
+    p.design.params.iface = iface;
     // A 200 ns control loop over ~100-cycle rdmsr/wrmsr would starve
     // the manager; the MSR configuration runs a saner 1 us period.
-    cfg.design.params.period =
+    p.design.params.period =
         iface == core::Interface::Msr ? 1000 : 200;
-    cfg.design.params.bulk = 16;
-    cfg.design.params.concurrency = 4;
-    cfg.rateMrps = rate;
-    cfg.requests = 200000;
-    cfg.realWorldArrivals = true;
+    p.design.params.bulk = 16;
+    p.design.params.concurrency = 4;
+    p.spec.rateMrps = rate;
+    p.spec.requests = bench::scaled(200000, opt);
+    p.spec.realWorldArrivals = true;
     // SLO: 5 us p99 (10x the ~70 ns mean leaves no room for the
     // PCIe hop AC_rss pays; 5 us keeps all designs comparable).
-    cfg.sloAbsolute = 5 * kUs;
-    cfg.store.keysPerPartition = 20000;
-    cfg.store.buckets = 1 << 15;
-    cfg.store.logBytes = 32u << 20;
+    p.spec.sloAbsolute = 5 * kUs;
+    p.spec.seed = 91;
+    p.mica.store.keysPerPartition = 20000;
+    p.mica.store.buckets = 1 << 15;
+    p.mica.store.logBytes = 32u << 20;
     // SCANs walk 160 entries (~4 us): the only SCAN scale compatible
     // with the paper's 700 MRPS x-axis on 64 cores (see
     // EXPERIMENTS.md). Mean service ~= 70 ns.
-    cfg.store.scanEntries = 160;
-    cfg.seed = 91;
-    return cfg;
+    p.mica.store.scanEntries = 160;
+    return p;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bench::Options opt = bench::parseArgs(argc, argv);
     bench::banner("Fig. 14",
                   "MICA end-to-end, 64 cores, nanoRPC-class stack, "
                   "real-world traffic (99.5% GET/SET ~50ns, 0.5% "
@@ -85,56 +99,55 @@ main()
         {"AC_rss-MSR", Design::AcRss, core::Interface::Msr},
     };
 
-    bench::section("(a) p99 latency (us) vs offered MRPS");
-    std::printf("%-12s", "design");
-    for (double r : rates)
-        std::printf(" %8.0f", r);
-    std::printf("\n");
-
-    std::vector<std::vector<MicaRunResult>> all;
+    // The series x rate grid is one parallel batch.
+    std::vector<Point> points;
     for (const Series &s : series) {
-        std::printf("%-12s", s.label);
-        std::fflush(stdout);
-        std::vector<MicaRunResult> row;
-        for (double r : rates) {
-            row.push_back(
-                runMicaExperiment(configFor(s.design, s.iface, r)));
-            std::printf(" %8.2f", row.back().run.latency.p99 / 1e3);
-            std::fflush(stdout);
-        }
-        all.push_back(std::move(row));
+        for (double r : rates)
+            points.push_back(pointFor(s.design, s.iface, r, opt));
     }
-
-    bench::section("(b) SLO-violation ratio vs offered MRPS");
-    std::printf("%-12s", "design");
-    for (double r : rates)
-        std::printf(" %8.0f", r);
-    std::printf("\n");
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        std::printf("%-12s", series[i].label);
-        for (const auto &res : all[i])
-            std::printf(" %8.4f", res.run.violationRatio);
+    const std::vector<MicaRunResult> results = altoc::mapOrdered(
+        points,
+        [](const Point &p) {
+            return runMicaExperiment(p.design, p.spec, p.mica);
+        },
+        opt.jobs);
+    bench::SweepDigest digest;
+    for (const MicaRunResult &res : results)
+        digest.add(res.run);
+    auto at = [&](std::size_t series_idx, std::size_t rate_idx)
+        -> const RunResult & {
+        return results[series_idx * rates.size() + rate_idx].run;
+    };
+    // One row per series of @p value at every rate, @p prec decimals.
+    auto table = [&](const char *title, int prec, auto value) {
+        bench::section(title);
+        std::printf("%-12s", "design");
+        for (double r : rates)
+            std::printf(" %8.0f", r);
         std::printf("\n");
-    }
+        for (std::size_t i = 0; i < std::size(series); ++i) {
+            std::printf("%-12s", series[i].label);
+            for (std::size_t j = 0; j < rates.size(); ++j)
+                std::printf(" %8.*f", prec, value(at(i, j)));
+            std::printf("\n");
+        }
+    };
+    table("(a) p99 latency (us) vs offered MRPS", 2,
+          [](const RunResult &r) { return r.latency.p99 / 1e3; });
+    table("(b) SLO-violation ratio vs offered MRPS", 4,
+          [](const RunResult &r) { return r.violationRatio; });
 
     bench::section("max throughput with p99 <= 5 us");
-    double isa_best = 0, msr_best = 0, neb_best = 0, int_best = 0;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        double best = 0;
+    double best[std::size(series)] = {};
+    for (std::size_t i = 0; i < std::size(series); ++i) {
         for (std::size_t j = 0; j < rates.size(); ++j) {
-            if (all[i][j].run.latency.p99 <= 5 * kUs)
-                best = rates[j];
+            if (at(i, j).latency.p99 <= 5 * kUs)
+                best[i] = rates[j];
         }
-        std::printf("%-12s %8.0f MRPS\n", series[i].label, best);
-        if (i == 0)
-            neb_best = best;
-        if (i == 1)
-            int_best = best;
-        if (i == 2)
-            isa_best = best;
-        if (i == 3)
-            msr_best = best;
+        std::printf("%-12s %8.0f MRPS\n", series[i].label, best[i]);
     }
+    const double neb_best = best[0], int_best = best[1],
+                 isa_best = best[2], msr_best = best[3];
     if (neb_best > 0) {
         std::printf("\nAC_int / Nebula     = %.2fx (paper's AC-vs-"
                     "Nebula claim: 2.5x; see EXPERIMENTS.md)\n",
@@ -147,6 +160,7 @@ main()
         std::printf("AC_rss-MSR / AC_rss-ISA = %.0f%% (paper: 91%%)\n",
                     100.0 * msr_best / isa_best);
 
+    digest.print();
     watch.report();
     return 0;
 }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "stats/timeseries.hh"
 #include "system/experiment.hh"

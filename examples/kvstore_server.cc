@@ -18,27 +18,42 @@ using namespace altoc::system;
 
 namespace {
 
-MicaRunConfig
-baseConfig()
+DesignConfig
+baseDesign(Design design)
 {
-    MicaRunConfig cfg;
-    cfg.design.cores = 64;
-    cfg.design.groups = 4;
-    cfg.design.lineRateGbps = 1600.0;
+    DesignConfig cfg;
+    cfg.design = design;
+    cfg.cores = 64;
+    cfg.groups = 4;
+    cfg.lineRateGbps = 1600.0;
+    return cfg;
+}
+
+WorkloadSpec
+baseSpec()
+{
+    WorkloadSpec spec;
     // SCANs are 0.5% of requests but ~80% of the demanded core time;
     // 60 MRPS keeps the burst phases of the MMPP inside capacity.
-    cfg.rateMrps = 60.0;
-    cfg.requests = 300000;
-    cfg.realWorldArrivals = true;
-    cfg.sloAbsolute = 10 * kUs;
+    spec.rateMrps = 60.0;
+    spec.requests = 300000;
+    spec.realWorldArrivals = true;
+    spec.sloAbsolute = 10 * kUs;
     // Few client connections make RSS steering lumpy across groups,
     // which is the imbalance ALTOCUMULUS migrations correct.
-    cfg.connections = 12;
-    cfg.store.keysPerPartition = 20000;
-    cfg.store.buckets = 1 << 15;
-    cfg.store.logBytes = 32u << 20;
-    cfg.seed = 2026;
-    return cfg;
+    spec.connections = 12;
+    spec.seed = 2026;
+    return spec;
+}
+
+MicaRunConfig
+baseMica()
+{
+    MicaRunConfig mica;
+    mica.store.keysPerPartition = 20000;
+    mica.store.buckets = 1 << 15;
+    mica.store.logBytes = 32u << 20;
+    return mica;
 }
 
 void
@@ -62,28 +77,24 @@ main()
     std::printf("MICA over RPC scheduling, 64 cores, real-world "
                 "traffic (0.5%% SCAN / 99.5%% GET+SET)\n\n");
 
+    const WorkloadSpec spec = baseSpec();
+    const MicaRunConfig mica = baseMica();
+
     // Baseline: Nebula's NIC-driven JBSQ across all 64 cores.
-    MicaRunConfig nebula = baseConfig();
-    nebula.design.design = Design::Nebula;
-    report(runMicaExperiment(nebula));
+    report(runMicaExperiment(baseDesign(Design::Nebula), spec, mica));
 
     // ALTOCUMULUS on the integrated NIC, 4 groups of 1+15 -- first
     // with migration disabled to expose the raw steering imbalance,
     // then with the full runtime.
-    MicaRunConfig ac_off = baseConfig();
-    ac_off.design.design = Design::AcInt;
-    ac_off.design.params.migrationEnabled = false;
-    report(runMicaExperiment(ac_off));
+    DesignConfig ac_off = baseDesign(Design::AcInt);
+    ac_off.params.migrationEnabled = false;
+    report(runMicaExperiment(ac_off, spec, mica));
 
-    MicaRunConfig ac = baseConfig();
-    ac.design.design = Design::AcInt;
-    report(runMicaExperiment(ac));
+    report(runMicaExperiment(baseDesign(Design::AcInt), spec, mica));
 
     // ALTOCUMULUS on a commodity PCIe RSS NIC with the custom ISA
     // interface (the Fig. 14 AC_rss-ISA configuration).
-    MicaRunConfig ac_rss = baseConfig();
-    ac_rss.design.design = Design::AcRss;
-    report(runMicaExperiment(ac_rss));
+    report(runMicaExperiment(baseDesign(Design::AcRss), spec, mica));
 
     std::printf("\nCompare the two AC_int rows: proactive migration "
                 "recovers most of the tail that lumpy RSS steering "

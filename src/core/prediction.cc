@@ -23,7 +23,8 @@ defaultConstants(const std::string &dist_name)
         return ModelConstants{1.01, 0.0, 0.998, 0.0};
     if (dist_name == "Uniform")
         return ModelConstants{0.97, 0.0, 0.998, 0.0};
-    if (dist_name == "Bimodal")
+    // The MICA mix is bimodal too: ~50 ns GET/SETs and rare SCANs.
+    if (dist_name == "Bimodal" || dist_name == "MicaMix")
         return ModelConstants{1.12, 4.0, 0.998, 0.0};
     if (dist_name == "Exponential")
         return ModelConstants{1.05, 0.0, 0.998, 0.0};

@@ -73,6 +73,13 @@ MicaHandler::sampleRequest(net::WireRpc &w, Rng &rng)
     }
 }
 
+std::shared_ptr<workload::ServiceDist>
+MicaHandler::nominalMix() const
+{
+    return std::make_shared<workload::MicaMixDist>(
+        scanFrac_, kNominalRw, nominalScanNs(store_.config()));
+}
+
 Tick
 MicaHandler::meanServiceNs() const
 {

@@ -24,6 +24,7 @@
 #include "cpu/core.hh"
 #include "mica/kvs.hh"
 #include "net/rpc.hh"
+#include "workload/distributions.hh"
 #include "workload/zipf.hh"
 
 namespace altoc::mica {
@@ -44,7 +45,7 @@ enum class ConcurrencyMode : std::uint8_t
 /**
  * Executes MICA operations for RPCs and accounts their timing.
  */
-class MicaHandler
+class MicaHandler final : public net::RpcHandler
 {
   public:
     /** Maps an executing core id to its scheduler group. */
@@ -75,10 +76,10 @@ class MicaHandler
     ConcurrencyMode mode() const { return mode_; }
 
     /**
-     * Core::ServiceResolver: runs the actual operation and rewrites
-     * the request's service demand.
+     * Runs the actual operation and rewrites the request's service
+     * demand.
      */
-    void resolve(net::Rpc &r, cpu::Core &core);
+    void resolve(net::Rpc &r, cpu::Core &core) override;
 
     /**
      * Fill the wire-form request @p w with a sampled MICA request:
@@ -86,7 +87,15 @@ class MicaHandler
      * demand is set so schedulers relying on it pre-resolution stay
      * sane (injection copies it into the remaining demand).
      */
-    void sampleRequest(net::WireRpc &w, Rng &rng);
+    void sampleRequest(net::WireRpc &w, Rng &rng) override;
+
+    /**
+     * The nominal mix the load generator samples before the handler
+     * fills a request (its draws are part of the arrival stream) and
+     * the AC model sizes its thresholds on: meanServiceNs() is its
+     * mean, truncated.
+     */
+    std::shared_ptr<workload::ServiceDist> nominalMix() const;
 
     /** Mean nominal service time of the generated mix. */
     Tick meanServiceNs() const;

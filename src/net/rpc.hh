@@ -26,6 +26,10 @@
 #define ALTOC_AUDIT_ENABLED 0
 #endif
 
+namespace altoc::cpu {
+class Core;
+} // namespace altoc::cpu
+
 namespace altoc::net {
 
 using workload::RequestKind;
@@ -115,6 +119,24 @@ struct WireRpc
     std::uint32_t sizeBytes = 0;
     std::uint16_t homeGroup = 0;
     RequestKind kind = RequestKind::Generic;
+};
+
+/**
+ * The application behind a workload's RPCs, when it shapes them
+ * itself (the MICA store, Sec. IX): it fills each generated request's
+ * wire form, and when a core first runs the request it executes the
+ * operation and rewrites the request's service demand.
+ */
+class RpcHandler
+{
+  public:
+    virtual ~RpcHandler() = default;
+
+    /** Fill the wire form @p w of a generated request. */
+    virtual void sampleRequest(WireRpc &w, Rng &rng) = 0;
+
+    /** Execute @p r on @p core and set its service demand. */
+    virtual void resolve(Rpc &r, cpu::Core &core) = 0;
 };
 
 /**

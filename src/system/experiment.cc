@@ -300,8 +300,8 @@ LoadGenerator::send(int s, net::WireRpc &w)
         rack_->shedAtTor(w.id);
         return;
     }
-    if (decorate_)
-        decorate_(w, rng_);
+    if (spec_.handler != nullptr)
+        spec_.handler->sampleRequest(w, rng_);
     if (rack_ != nullptr)
         rack_->deliver(static_cast<unsigned>(s), w);
     else

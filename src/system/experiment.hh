@@ -9,7 +9,6 @@
 #define ALTOC_SYSTEM_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -181,6 +180,15 @@ struct WorkloadSpec
      */
     trace::TraceConfig tracing;
 
+    /**
+     * The application behind the requests, when it shapes them
+     * itself (MICA, system/mica_run.hh): the load generator lets it
+     * fill every request after sampling the service distribution, and
+     * it resolves each request's demand on the server's cores.
+     * Single-server racks only; not owned.
+     */
+    net::RpcHandler *handler = nullptr;
+
     std::uint64_t seed = 1;
 };
 
@@ -291,11 +299,11 @@ struct RunResult
      * (rack, generator, hooks), the sharded kernel's parallel
      * phase, the serial loop (the whole run when unsharded, the tail
      * after the parallel phase otherwise), and the post-run fold (the
-     * observation merge the parallel phase left over -- see
-     * ShardStats::idleWorkNs for the part done inside it -- and the
-     * latency summaries). Execution statistics
-     * like parallelWindows: they vary from run to run, never feed the
-     * fingerprint and stay out of dumpStats.
+     * observation merge the run left over -- the serial loop folds as
+     * it goes, see ShardStats::idleWorkNs for the part done inside
+     * the parallel phase -- and the latency summaries). Execution
+     * statistics like parallelWindows: they vary from run to run,
+     * never feed the fingerprint and stay out of dumpStats.
      */
     struct HostPhases
     {
@@ -358,13 +366,8 @@ class Rack;
 class LoadGenerator
 {
   public:
-    /** Extra per-request setup (e.g. MICA key sampling). */
-    using Decorator = std::function<void(net::WireRpc &, Rng &)>;
-
     LoadGenerator(Server &server, const WorkloadSpec &spec);
     LoadGenerator(Rack &rack, const WorkloadSpec &spec);
-
-    void setDecorator(Decorator fn) { decorate_ = std::move(fn); }
 
     /** Schedule all arrivals (trace) or the first arrival (sampled). */
     void start();
@@ -381,8 +384,8 @@ class LoadGenerator
     /** Placement of the next arrival: -1 when the ToR sheds it. */
     int place();
 
-    /** Issue @p w to server @p s (decorated first), or shed it at the
-     *  ToR when @p s < 0. */
+    /** Issue @p w to server @p s (filled by the spec's handler first,
+     *  if any), or shed it at the ToR when @p s < 0. */
     void send(int s, net::WireRpc &w);
 
     sim::Simulator &sim_;
@@ -391,7 +394,6 @@ class LoadGenerator
     const WorkloadSpec &spec_;
     Rng rng_;
     std::unique_ptr<workload::ArrivalProcess> arrivals_;
-    Decorator decorate_;
     std::uint64_t injected_ = 0;
     Tick nextArrival_ = 0;
 };

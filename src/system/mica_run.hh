@@ -1,14 +1,12 @@
 /**
  * @file
- * End-to-end MICA experiments (Sec. IX): wire a partitioned MICA
- * store, its RPC handlers and a load generator into any scheduler
- * design, and collect the same metrics as runExperiment().
+ * End-to-end MICA experiments (Sec. IX): a partitioned MICA store and
+ * its RPC handlers behind any scheduler design, run by runExperiment
+ * like every other experiment.
  */
 
 #ifndef ALTOC_SYSTEM_MICA_RUN_HH
 #define ALTOC_SYSTEM_MICA_RUN_HH
-
-#include <optional>
 
 #include "mica/handlers.hh"
 #include "mica/kvs.hh"
@@ -16,31 +14,12 @@
 
 namespace altoc::system {
 
-/** Configuration of one MICA end-to-end run. */
+/** The MICA-side settings of one run; the design and the workload
+ *  (rate, requests, arrivals, SLO, seed, ...) are runExperiment's. */
 struct MicaRunConfig
 {
-    DesignConfig design;
-
-    /** Offered load in MRPS. */
-    double rateMrps = 100.0;
-
-    std::uint64_t requests = 100000;
-
     /** SCAN fraction in the query mix (Sec. IX-D: 0.5%). */
     double scanFrac = 0.005;
-
-    /** Use bursty real-world (MMPP) arrivals. */
-    bool realWorldArrivals = false;
-
-    /** SLO: absolute target wins over the L factor. */
-    std::optional<Tick> sloAbsolute;
-    double sloFactor = 10.0;
-
-    double warmupFraction = 0.1;
-
-    /** Client connections (RSS steering granularity); few
-     *  connections -> lumpy per-group load. */
-    unsigned connections = 1024;
 
     /** Zipf key-popularity skew; 0 keeps uniform sampling. Hot keys
      *  concentrate load on their EREW owner groups. */
@@ -52,10 +31,6 @@ struct MicaRunConfig
     /** Store geometry; partitions are overridden to match the
      *  design's group count (EREW: one partition per manager). */
     mica::MicaStore::Config store;
-
-    bool capturePerRequest = false;
-
-    std::uint64_t seed = 1;
 };
 
 /** Extra MICA-side counters reported next to the run metrics. */
@@ -69,8 +44,15 @@ struct MicaRunResult
     std::uint64_t remoteExecutions = 0;
 };
 
-/** Execute one MICA experiment end to end. */
-MicaRunResult runMicaExperiment(const MicaRunConfig &cfg);
+/**
+ * Execute one MICA experiment on a single server: populate the store
+ * from @p spec's seed and run @p spec through runExperiment with the
+ * MICA handler as its RPC handler and the handler's nominal mix as
+ * its service distribution (both replace whatever @p spec carries).
+ */
+MicaRunResult runMicaExperiment(const DesignConfig &design,
+                                const WorkloadSpec &spec,
+                                const MicaRunConfig &mica = {});
 
 } // namespace altoc::system
 

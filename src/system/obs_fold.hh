@@ -11,8 +11,9 @@
  * which is the canonical (tick, region, seq) dispatch order
  * restricted to observation points wherever records carry their
  * event's tick.
- * ObsFold produces that stream, and lets most of the merge run while
- * a sharded run's parallel phase is still going (system/rack.cc).
+ * ObsFold produces that stream, folding as the run goes: a serial
+ * run every kSerialChunk records, a sharded run while its parallel
+ * phase is still going (system/rack.cc).
  */
 
 #ifndef ALTOC_SYSTEM_OBS_FOLD_HH
@@ -76,8 +77,13 @@ struct ObsRec
  * such bound is the smallest head of the whole logs, and the fold
  * takes exactly the whole-log merge's steps. finish() (after the run,
  * the holders gone) appends each mailbox and live log to its cursor
- * and folds the rest with no bound: the one fold routine for
- * sharded, serial and time-limited runs.
+ * and folds the rest with no bound.
+ *
+ * A serial kernel's one thread is every holder and the folder, and
+ * at a dispatch tick every record logged later is stamped at or past
+ * it: foldSerial() hands every log over at that tick and folds, so a
+ * serial run keeps about a chunk of records live instead of its
+ * whole log.
  */
 template <typename Sink>
 class ObsFold
@@ -88,6 +94,9 @@ class ObsFold
           bound_(servers, 0), sink_(std::move(sink))
     {
     }
+
+    /** Live records at which foldSerial() folds. */
+    static constexpr std::size_t kSerialChunk = 2048;
 
     /** Server @p s's live log (its holder's append target). */
     std::vector<ObsRec> *log(unsigned s) { return &live_[s].recs; }
@@ -144,6 +153,21 @@ class ObsFold
                 refill(best);
         }
         return true;
+    }
+
+    /** Serial kernel only, at dispatch tick @p now: once server @p s
+     *  has kSerialChunk live records, hand every server's records
+     *  below @p now over and fold them. A record opened at @p now
+     *  and everything after the first record at or past it stay
+     *  live. */
+    void
+    foldSerial(unsigned s, Tick now)
+    {
+        if (live_[s].recs.size() < kSerialChunk)
+            return;
+        for (unsigned r = 0; r < live_.size(); ++r)
+            handOver(r, now);
+        fold(~std::size_t{0});
     }
 
     /** After the run: fold everything left, in the whole-log merge

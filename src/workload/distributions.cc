@@ -136,11 +136,4 @@ makePaperBimodal()
     return std::make_unique<BimodalDist>(0.005, 500, 500 * kUs);
 }
 
-std::unique_ptr<ServiceDist>
-makeMicaMix()
-{
-    // Sec. IX-D: 0.5% ~50 us SCAN, 99.5% ~50 ns GET/SET.
-    return std::make_unique<MicaMixDist>(0.005, 50, 50 * kUs);
-}
-
 } // namespace altoc::workload

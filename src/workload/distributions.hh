@@ -155,7 +155,6 @@ std::unique_ptr<ServiceDist> makeFixed(Tick service);
 std::unique_ptr<ServiceDist> makeUniformAround(Tick mean);
 std::unique_ptr<ServiceDist> makeExponential(Tick mean);
 std::unique_ptr<ServiceDist> makePaperBimodal();
-std::unique_ptr<ServiceDist> makeMicaMix();
 
 } // namespace altoc::workload
 

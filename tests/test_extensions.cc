@@ -47,8 +47,11 @@ TEST(TimeSeries, MultiSeriesStableReferences)
 {
     stats::MultiSeries ms(10);
     stats::TimeSeries &a = ms.series("a");
-    for (int i = 0; i < 50; ++i)
-        ms.series("s" + std::to_string(i)).record(1, 1.0);
+    for (int i = 0; i < 50; ++i) {
+        std::string name = "s";
+        name += std::to_string(i);
+        ms.series(name).record(1, 1.0);
+    }
     a.record(5, 42.0); // the reference must still be valid
     EXPECT_EQ(ms.size(), 51u);
     EXPECT_DOUBLE_EQ(ms.at(0).peak(), 42.0);

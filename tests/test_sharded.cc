@@ -742,6 +742,97 @@ TEST(Sharded, ObsFoldBatchesReplayGlobalOrder)
     }
 }
 
+/** The serial kernel's fold-as-you-go at unit level: one dispatch
+ *  clock that never goes back, three servers logging at it (ties
+ *  across servers included), and before every record the call a
+ *  completion probe makes, foldSerial at the current tick. The record
+ *  is completed after it is pushed, as the completion hook does. In
+ *  the second pass some records carry a tick up to one dispatch delay
+ *  ahead of the clock, as straggle and freeze records do. The folded
+ *  stream must be what finish() alone folds, and a live log must
+ *  never hold more than a chunk plus what the last fold had to keep:
+ *  at most the records logged within one dispatch delay of its
+ *  tick. */
+TEST(ObsFold, SerialFoldAsYouGoMatchesFinish)
+{
+    constexpr unsigned kServers = 3;
+    struct Seen
+    {
+        Tick now;
+        unsigned server;
+        std::uint64_t id;
+        Tick latency;
+        bool operator==(const Seen &) const = default;
+    };
+    for (const Tick lead : {Tick{0}, Tick{40}}) {
+        std::vector<Seen> whole;
+        std::vector<Seen> batched;
+        auto sinkInto = [](std::vector<Seen> &out) {
+            return [&out](const ObsRec &o, unsigned server) {
+                out.push_back(Seen{o.now, server, o.id, o.latency});
+            };
+        };
+        ObsFold serial(kServers, sinkInto(whole));
+        ObsFold fold(kServers, sinkInto(batched));
+        constexpr std::size_t kChunk = decltype(fold)::kSerialChunk;
+
+        Rng rng(23);
+        Tick clock = 0;
+        std::uint64_t folds = 0;
+        std::uint64_t keptAhead = 0;
+        // Per server: the dispatch tick of every record still live
+        // and the bound the last fold allows.
+        std::vector<std::vector<Tick>> loggedAt(kServers);
+        std::vector<std::size_t> allowed(kServers, kChunk);
+        for (std::uint64_t id = 0; id < 60000; ++id) {
+            clock += rng.below(4);
+            const unsigned s = static_cast<unsigned>(rng.below(kServers));
+            const bool due = fold.log(s)->size() >= kChunk;
+            fold.foldSerial(s, clock);
+            if (due) {
+                ++folds;
+                for (unsigned r = 0; r < kServers; ++r) {
+                    // What stays live was logged within one dispatch
+                    // delay of the fold's tick.
+                    std::vector<Tick> &at = loggedAt[r];
+                    const std::size_t kept = fold.log(r)->size();
+                    at.erase(at.begin(),
+                             at.end() - static_cast<std::ptrdiff_t>(kept));
+                    const std::size_t window = static_cast<std::size_t>(
+                        std::count_if(at.begin(), at.end(),
+                                      [&](Tick t) {
+                                          return t + lead >= clock;
+                                      }));
+                    EXPECT_LE(kept, window) << "lead " << lead;
+                    keptAhead += kept;
+                    allowed[r] = kChunk + kept;
+                }
+            }
+            ObsRec o;
+            o.now = clock;
+            if (lead != 0 && rng.below(8) == 0)
+                o.now += 1 + rng.below(lead);
+            o.id = id;
+            fold.log(s)->push_back(o);
+            serial.log(s)->push_back(o);
+            loggedAt[s].push_back(clock);
+            fold.log(s)->back().latency = id * 7;
+            serial.log(s)->back().latency = id * 7;
+            for (unsigned r = 0; r < kServers; ++r)
+                EXPECT_LE(fold.log(r)->size(), allowed[r]);
+        }
+        fold.finish();
+        serial.finish();
+
+        ASSERT_EQ(whole.size(), 60000u);
+        EXPECT_EQ(batched, whole) << "lead " << lead;
+        EXPECT_GE(folds, 8u);
+        if (lead != 0) {
+            EXPECT_GT(keptAhead, 0u);
+        }
+    }
+}
+
 /** The fold that runs inside the parallel phase (handed-over
  *  records) and after the run (the rest) replays the serial observation stream:
  *  every summary and every captured request agree at 1, 2 and 4
